@@ -14,6 +14,9 @@ LiveNode::LiveNode(runtime::LiveNodeRuntime* nrt,
                    const LiveNodeOptions& options,
                    const LiveClusterOptions& cluster_options)
     : name_(std::move(name)), nrt_(nrt) {
+  // Nothing reads a live node's trace; capturing it would only grow
+  // without bound.
+  ctx_.trace().set_capture(false);
   // Bind before the TM constructor registers the endpoint: the transport
   // needs to know which mailbox delivers to this name.
   transport->Bind(name_, nrt_);
@@ -22,13 +25,23 @@ LiveNode::LiveNode(runtime::LiveNodeRuntime* nrt,
   file_options.sync = cluster_options.file_sync;
   file_options.floor_us = cluster_options.log_force_floor_us;
   runtime::LiveNodeRuntime* mailbox = nrt_;
+  runtime::LiveRuntime* rt = nrt_->runtime();
   storage_ = std::make_unique<wal::FileStorage>(
       cluster_options.dir + "/" + name_ + ".log",
-      [mailbox](wal::StorageBackend::WriteCallback&& done) {
+      [mailbox](wal::StorageBackend::WriteCallback&& drain) {
         mailbox->Post(
-            runtime::Task([cb = std::move(done)]() mutable { cb(); }));
+            runtime::Task([cb = std::move(drain)]() mutable { cb(); }));
       },
-      file_options);
+      file_options,
+      // The log holds the runtime busy while it has unretired writes, so
+      // WaitIdle/Stop also wait for the device and its drain tasks.
+      [rt](bool busy) {
+        if (busy) {
+          rt->IoBegin();
+        } else {
+          rt->IoEnd();
+        }
+      });
   log_ = std::make_unique<wal::LogManager>(nrt_, &ctx_, name_,
                                            storage_.get());
   log_->set_group_commit(options.group_commit);

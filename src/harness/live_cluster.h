@@ -1,6 +1,7 @@
 // LiveCluster: assembles the same protocol stack as harness::Cluster —
 // TM + LogManager + RMs per node — on the live backends: LiveRuntime
-// worker threads, LiveTransport mailboxes, FileStorage fsync'd logs.
+// worker threads, LiveTransport mailboxes, FileStorage fsync'd logs (each
+// with its own device thread).
 //
 // Lifecycle: construct, AddNode/Connect (single-threaded setup), Start,
 // then drive transactions from client threads via RunOn/Post. All protocol
@@ -10,8 +11,9 @@
 //
 // Each node keeps a private SimContext purely for the non-temporal services
 // the engines still take from it (trace sink, failure-injection points,
-// rng); its clock never advances and nothing is ever scheduled on it. Time,
-// timers and txn ids all come from the LiveRuntime.
+// rng); its clock never advances, nothing is ever scheduled on it, and its
+// trace capture is off (nothing reads it). Time, timers and txn ids all
+// come from the LiveRuntime.
 //
 // Logs are real files under `options.dir`, named "<node>.log". A second
 // LiveCluster constructed on the same directory reloads them — that is the
@@ -102,8 +104,7 @@ class LiveCluster {
                tm::SessionOptions b_options = {});
 
   void Start();
-  /// Waits for the mailboxes to drain, then joins workers. Safe to call
-  /// twice.
+  /// Waits until idle (WaitIdle), then joins workers. Safe to call twice.
   void Stop();
 
   LiveNode& node(const std::string& name);
@@ -119,7 +120,8 @@ class LiveCluster {
   /// Fire-and-forget: enqueues `fn` on `name`'s mailbox.
   void Post(const std::string& name, std::function<void()> fn);
 
-  /// Blocks until every mailbox drained and no worker is running.
+  /// Blocks until every mailbox drained, no worker is running and no log
+  /// write is queued, in service or waiting for its drain task.
   void WaitIdle() { runtime_.WaitIdle(); }
 
   const LiveClusterOptions& options() const { return options_; }

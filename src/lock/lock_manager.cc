@@ -286,4 +286,9 @@ size_t LockManager::WaiterCount() const {
   return n;
 }
 
+void LockManager::CancelWaitTimeouts() {
+  for (Entry& entry : table_)
+    for (const Waiter& w : entry.waiters) rt_->CancelTimer(w.timeout_event);
+}
+
 }  // namespace tpc::lock

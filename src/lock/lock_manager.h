@@ -140,6 +140,11 @@ class LockManager {
   /// Number of transactions currently waiting (for blocked-work metrics).
   size_t WaiterCount() const;
 
+  /// Cancels every queued waiter's timeout timer without running its
+  /// callback. A crash calls it before discarding the table: a timeout
+  /// left armed would run OnTimeout against whatever table replaced it.
+  void CancelWaitTimeouts();
+
   /// Number of (txn, key) holds currently granted, across all transactions.
   /// Zero at quiescence — the torture oracle's leaked-lock check.
   size_t HeldLockCount() const {

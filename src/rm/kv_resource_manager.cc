@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "runtime/sim_runtime.h"
 #include "tm/crash_points.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
@@ -58,17 +59,20 @@ std::string_view VoteToString(Vote vote) {
 
 KVResourceManager::KVResourceManager(sim::SimContext* ctx, std::string name,
                                      wal::LogManager* log, KVOptions options)
-    : ctx_(ctx),
+    : owned_rt_(std::make_unique<runtime::SimRuntime>(ctx)),
+      rt_(owned_rt_.get()),
+      ctx_(ctx),
       name_(std::move(name)),
       log_(log),
       options_(options),
-      locks_(ctx, name_, options.lock_timeout),
+      locks_(rt_, ctx, name_, options.lock_timeout),
       store_lock_id_(locks_.InternKey(kStoreLock)) {}
 
 KVResourceManager::KVResourceManager(runtime::Runtime* rt,
                                      sim::SimContext* ctx, std::string name,
                                      wal::LogManager* log, KVOptions options)
-    : ctx_(ctx),
+    : rt_(rt),
+      ctx_(ctx),
       name_(std::move(name)),
       log_(log),
       options_(options),
@@ -285,7 +289,9 @@ void KVResourceManager::ApplyUndo(const TxnState& state) {
 void KVResourceManager::Crash() {
   store_.clear();
   active_.clear();
-  locks_ = lock::LockManager(ctx_, name_, options_.lock_timeout);
+  // A queued waiter's timeout would otherwise fire into the new table.
+  locks_.CancelWaitTimeouts();
+  locks_ = lock::LockManager(rt_, ctx_, name_, options_.lock_timeout);
   store_lock_id_ = locks_.InternKey(kStoreLock);
 }
 

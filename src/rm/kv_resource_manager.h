@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -52,8 +53,8 @@ class KVResourceManager : public ResourceManager {
 
   /// `log` is the node's WAL (shared with the TM when the shared-log
   /// optimization is on, which is also the common single-log deployment).
-  /// The sim-path compatibility constructor builds the lock manager on a
-  /// SimRuntime over `ctx`.
+  /// The sim-path compatibility constructor owns a SimRuntime over `ctx`
+  /// and builds the lock manager on it.
   KVResourceManager(sim::SimContext* ctx, std::string name,
                     wal::LogManager* log, KVOptions options = {});
 
@@ -165,6 +166,8 @@ class KVResourceManager : public ResourceManager {
   /// any callback. `point` indexes tm::kRmCrashPoints.
   bool CrashHere(size_t point);
 
+  std::unique_ptr<runtime::Runtime> owned_rt_;  ///< compat-ctor SimRuntime
+  runtime::Runtime* rt_;  ///< the lock manager's clock and timers
   sim::SimContext* ctx_;
   std::string name_;
   wal::LogManager* log_;

@@ -26,9 +26,12 @@ TimerId TimerWheel::Arm(sim::Time deadline_us, TimerCallback fn,
   s.deadline = deadline_us;
   ++s.gen;
   s.armed = true;
-  // Hash by deadline tick; anything already due lands in the next tick's
-  // bucket so Advance picks it up on the following pass.
-  int64_t target_tick = deadline_us / tick_us_;
+  // Hash by the first tick at or after the deadline, so the deadline has
+  // passed when Advance scans the bucket (the floor tick's bucket can be
+  // scanned just before it, leaving the entry a full revolution). Anything
+  // already due lands in the next tick's bucket so Advance picks it up on
+  // the following pass.
+  int64_t target_tick = (deadline_us + tick_us_ - 1) / tick_us_;
   if (target_tick <= last_tick_) target_tick = last_tick_ + 1;
   buckets_[static_cast<size_t>(target_tick) % kBuckets].push_back(
       Entry{slot, s.gen});
@@ -171,7 +174,19 @@ sim::Time LiveRuntime::NowUs() const {
 
 void LiveRuntime::WaitIdle() {
   std::unique_lock<std::mutex> lock(ready_mu_);
-  idle_cv_.wait(lock, [this] { return ready_.empty() && running_ == 0; });
+  idle_cv_.wait(lock, [this] { return IdleLocked(); });
+}
+
+void LiveRuntime::IoBegin() {
+  std::lock_guard<std::mutex> lock(ready_mu_);
+  ++io_holds_;
+}
+
+void LiveRuntime::IoEnd() {
+  std::lock_guard<std::mutex> lock(ready_mu_);
+  TPC_CHECK(io_holds_ > 0);
+  --io_holds_;
+  if (IdleLocked()) idle_cv_.notify_all();
 }
 
 void LiveRuntime::Enqueue(LiveNodeRuntime* node) {
@@ -211,7 +226,7 @@ void LiveRuntime::WorkerLoop() {
       std::lock_guard<std::mutex> lock(ready_mu_);
       if (requeue) ready_.push_back(node);
       --running_;
-      if (ready_.empty() && running_ == 0) idle_cv_.notify_all();
+      if (IdleLocked()) idle_cv_.notify_all();
     }
     if (requeue) ready_cv_.notify_one();
   }

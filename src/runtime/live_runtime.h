@@ -21,10 +21,12 @@
 //   - Now() is a monotonic wall clock (microseconds since runtime start);
 //     NextTxnId() is one shared atomic, so ids stay cluster-unique.
 //
-// A blocking call inside a task (FileStorage's fsync) parks only that
-// node's worker; other ready nodes run on the remaining workers. That I/O
-// overlap — not compute parallelism — is where live commit throughput
-// scales with the worker count, on any core count.
+// Tasks do not block on I/O: a node's log (FileStorage) runs its writes
+// and fsyncs on its own device thread and posts the completions back to
+// the node's mailbox, so a worker serves every node's mailbox while their
+// forces are in service and one worker already overlaps all the nodes'
+// forces. A device with writes not yet retired holds the runtime busy
+// (IoBegin/IoEnd), so WaitIdle also waits for the logs.
 
 #ifndef TPC_RUNTIME_LIVE_RUNTIME_H_
 #define TPC_RUNTIME_LIVE_RUNTIME_H_
@@ -153,9 +155,16 @@ class LiveRuntime {
 
   uint64_t NextTxnId() { return ++txn_ids_; }
 
-  /// Blocks until no node is ready or running. Timers may still be armed;
-  /// quiescence here means the mailboxes drained.
+  /// Blocks until no node is ready or running and no I/O hold is
+  /// outstanding. Timers may still be armed; quiescence here means the
+  /// mailboxes drained and every log write retired.
   void WaitIdle();
+
+  /// An I/O hold: from IoBegin until the matching IoEnd, WaitIdle does not
+  /// return. Called from a node's context (a task is running, so the
+  /// runtime cannot go idle between a task's IoEnd and its next IoBegin).
+  void IoBegin();
+  void IoEnd();
 
   const Options& options() const { return options_; }
 
@@ -166,6 +175,9 @@ class LiveRuntime {
   void WorkerLoop();
   void TickLoop();
   void Enqueue(LiveNodeRuntime* node);  ///< node became ready
+  bool IdleLocked() const {  ///< under ready_mu_
+    return ready_.empty() && running_ == 0 && io_holds_ == 0;
+  }
 
   Options options_;
   std::chrono::steady_clock::time_point epoch_;
@@ -177,6 +189,7 @@ class LiveRuntime {
   std::condition_variable idle_cv_;
   std::deque<LiveNodeRuntime*> ready_;
   int running_ = 0;  ///< workers currently executing a node batch
+  int io_holds_ = 0;  ///< IoBegin calls not yet matched by IoEnd
   bool stopping_ = false;
   bool started_ = false;
 

@@ -413,7 +413,7 @@ uint64_t LogManager::ApproxBytes() const {
     bytes += v.capacity() * sizeof(PendingForce);
   bytes += spare_cb_vecs_.capacity() * sizeof(std::vector<PendingForce>);
   bytes += force_latency_.count() * sizeof(double);
-  bytes += storage_->durable().size();
+  bytes += storage_->durable_bytes() - storage_->base_offset();
   return bytes;
 }
 

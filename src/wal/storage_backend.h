@@ -7,10 +7,11 @@
 //   - StableStorage (stable_storage.h): the simulated log device — queueing
 //     model, service times on the sim clock, in-order retirement, epoch
 //     crash semantics. Deterministic; the trace-frozen default.
-//   - FileStorage (file_storage.h): a real append-only file. Write performs
-//     pwrite + fdatasync inline on the calling (node worker) thread and
-//     posts the completion to the node's mailbox, so group commit batches
-//     actual fsyncs and a kill leaves exactly the synced prefix on disk.
+//   - FileStorage (file_storage.h): a real append-only file. Write only
+//     enqueues; a device thread batches every queued write into one write
+//     pass + fdatasync and posts the completions to the node's mailbox, so
+//     group commit batches actual fsyncs and a kill leaves exactly the
+//     synced prefix on disk.
 //
 // Contract every backend guarantees:
 //   - Writes retire in submission order; durable() is always a prefix of

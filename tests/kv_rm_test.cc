@@ -156,6 +156,28 @@ TEST_F(KvRmTest, CommittedStateRebuiltFromLogAfterCrash) {
   EXPECT_EQ(rm_.Peek("b").value_or(""), "2");
 }
 
+TEST_F(KvRmTest, CrashCancelsQueuedWaitersTimeouts) {
+  Write(1, "k", "v1");
+  bool called = false;
+  rm_.Write(2, "k", "v2", [&](Status) { called = true; });
+  ctx_.events().RunUntil(ctx_.now() + 10 * sim::kMillisecond);
+  ASSERT_FALSE(called);
+  ASSERT_EQ(rm_.locks().WaiterCount(), 1u);
+  ASSERT_GT(ctx_.events().pending(), 0u);  // txn 2's wait timeout
+
+  rm_.Crash();
+  // Nothing is left armed for a transaction the crash discarded.
+  EXPECT_EQ(ctx_.events().pending(), 0u);
+  log_.Crash();
+  EXPECT_TRUE(rm_.Recover(log_.Recover()).empty());
+  // Past the old waiter's deadline: its timeout must not run against the
+  // rebuilt lock table.
+  ctx_.events().RunUntil(ctx_.now() + KVOptions{}.lock_timeout + sim::kSecond);
+  EXPECT_FALSE(called);
+  EXPECT_EQ(rm_.locks().stats().timeouts, 0u);
+  Write(3, "k", "v3");  // the key is free again
+}
+
 TEST_F(KvRmTest, PreparedTxnRecoversInDoubtAndResolvesCommit) {
   Write(1, "k", "v");
   Prepare(1);

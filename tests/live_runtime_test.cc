@@ -1,6 +1,9 @@
 // Live-backend tests: the same protocol engines on real threads.
 //
-//  - LiveRuntime substrate: mailbox FIFO, timer fire, claim-on-run cancel.
+//  - LiveRuntime substrate: mailbox FIFO, timer fire, claim-on-run cancel,
+//    timer lateness.
+//  - The log device off the worker: a node serves its mailbox while its
+//    log write is in service, and WaitIdle waits for that write.
 //  - Sim/live equivalence: one PA commit + one abort driven through both
 //    backends produce the same decisions, the same per-node durable
 //    log-record sequences, the same stores, and the same lock-release
@@ -18,6 +21,7 @@
 #include <filesystem>
 #include <future>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +84,97 @@ TEST(LiveRuntimeTest, MailboxFifoAndTimers) {
   rt.WaitIdle();
   rt.Stop();
   EXPECT_FALSE(ran.load());
+}
+
+// A timer fires within a few ticks of its deadline wherever in a tick it
+// was armed: hashing by the floor tick once left it a full wheel
+// revolution (256 ticks) late.
+TEST(LiveRuntimeTest, TimersFireNearTheirDeadline) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{2, 250});
+  runtime::LiveNodeRuntime* n = rt.AddNode("n");
+  rt.Start();
+  constexpr int kTimers = 200;
+  std::vector<sim::Time> late(kTimers, -1);
+  std::atomic<int> fired{0};
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> gap_us(0, 400);
+  for (int i = 0; i < kTimers; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(gap_us(rng)));
+    n->Post(runtime::Task([n, &late, &fired, i] {
+      const sim::Time deadline = n->Now() + 1'000;
+      n->ArmTimer(1'000, [n, &late, &fired, i, deadline] {
+        late[i] = n->Now() - deadline;
+        fired.fetch_add(1);
+      });
+    }));
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fired.load() < kTimers && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  rt.WaitIdle();
+  rt.Stop();
+  ASSERT_EQ(fired.load(), kTimers);
+  for (int i = 0; i < kTimers; ++i) {
+    EXPECT_GE(late[i], 0) << "timer " << i;
+    EXPECT_LT(late[i], 5'000) << "timer " << i;
+  }
+}
+
+// --- the log device off the worker ---------------------------------------------
+
+/// One node, one worker, every log write padded to `floor_us`.
+LiveClusterOptions SlowLogOptions(const std::string& tag, int64_t floor_us) {
+  LiveClusterOptions opts;
+  opts.worker_threads = 1;
+  opts.dir = FreshDir(tag);
+  opts.log_force_floor_us = floor_us;
+  return opts;
+}
+
+// The node's only worker keeps serving its mailbox while the node's log
+// device is inside a 50 ms write.
+TEST(LiveClusterTest, MailboxRunsWhileTheDeviceServesAForce) {
+  LiveCluster c(SlowLogOptions("device_overlap", 50'000));
+  c.AddNode("n");
+  c.Start();
+  std::atomic<bool> forced{false};
+  c.RunOn("n", [&c, &forced] {
+    c.node("n").log().ForceAll([&forced] { forced = true; });
+  });
+  const auto posted = std::chrono::steady_clock::now();
+  std::promise<std::chrono::steady_clock::time_point> ran;
+  c.Post("n", [&ran] { ran.set_value(std::chrono::steady_clock::now()); });
+  const auto delay = ran.get_future().get() - posted;
+  EXPECT_LT(delay, std::chrono::milliseconds(10));
+  EXPECT_FALSE(forced.load());  // still inside the floor
+  c.WaitIdle();
+  EXPECT_TRUE(forced.load());
+  c.Stop();
+  std::filesystem::remove_all(c.options().dir);
+}
+
+// WaitIdle counts a write in service as work: it returns only after the
+// write retired and its callback ran.
+TEST(LiveClusterTest, WaitIdleWaitsForTheWriteInService) {
+  constexpr int64_t kFloorUs = 100'000;
+  LiveCluster c(SlowLogOptions("wait_idle", kFloorUs));
+  c.AddNode("n");
+  c.Start();
+  std::atomic<bool> forced{false};
+  const auto start = std::chrono::steady_clock::now();
+  c.RunOn("n", [&c, &forced] {
+    c.node("n").log().ForceAll([&forced] { forced = true; });
+  });
+  c.WaitIdle();
+  EXPECT_TRUE(forced.load());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::microseconds(kFloorUs));
+  c.RunOn("n", [&c] {
+    EXPECT_EQ(c.node("n").storage().writes_outstanding(), 0u);
+    EXPECT_EQ(c.node("n").storage().completed_writes(), 1u);
+  });
+  c.Stop();
+  std::filesystem::remove_all(c.options().dir);
 }
 
 // --- sim/live equivalence ----------------------------------------------------
