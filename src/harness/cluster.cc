@@ -59,6 +59,10 @@ Status Node::Checkpoint(std::function<void()> done) {
     return Status::FailedPrecondition(name_ + " shares another node's log");
   if (tm_->ActiveTxnCount() > 0)
     return Status::FailedPrecondition(name_ + " has transactions in flight");
+  // Forced paxos accepts live only in the log: an acceptor can hold state
+  // for a transaction it does not itself run, and truncation would lose it.
+  if (tm_->AcceptorTxnCount() > 0)
+    return Status::FailedPrecondition(name_ + " holds live acceptor state");
   for (auto& rm : rms_) {
     if (rm->ActiveCount() > 0)
       return Status::FailedPrecondition(rm->name() + " has live state");

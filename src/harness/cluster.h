@@ -55,8 +55,9 @@ class Node {
 
   /// Quiescent checkpoint: snapshots every RM into the log and truncates
   /// the durable prefix that is no longer needed for recovery. Refuses
-  /// (FailedPrecondition) while the TM tracks any transaction or an RM has
-  /// live state; only log-owning nodes may checkpoint. `done` runs once
+  /// (FailedPrecondition) while the TM tracks any transaction, its paxos
+  /// acceptor holds state for any transaction, or an RM has live state;
+  /// only log-owning nodes may checkpoint. `done` runs once
   /// every snapshot is durable and the log is truncated. Note: truncation
   /// also drops the archived verdicts of pre-checkpoint transactions, so a
   /// later restart answers inquiries about them by presumption only.

@@ -6,6 +6,7 @@
 #include "runtime/sim_runtime.h"
 #include "tm/crash_points.h"
 #include "util/binary_io.h"
+#include "util/flat_map.h"
 #include "util/logging.h"
 
 namespace tpc::rm {
@@ -31,14 +32,32 @@ std::string EncodeUpdateBody(const std::string& key, const std::string& old_valu
   return enc.Release();
 }
 
-Status DecodeUpdateBody(std::string_view body, std::string* key,
-                        std::string* old_value, bool* had_old,
-                        std::string* new_value) {
+Status DecodeUpdateBody(std::string_view body, std::string_view* key,
+                        std::string_view* old_value, bool* had_old,
+                        std::string_view* new_value) {
   Decoder dec(body);
-  TPC_RETURN_IF_ERROR(dec.GetString(key));
-  TPC_RETURN_IF_ERROR(dec.GetString(old_value));
+  TPC_RETURN_IF_ERROR(dec.GetStringView(key));
+  TPC_RETURN_IF_ERROR(dec.GetStringView(old_value));
   TPC_RETURN_IF_ERROR(dec.GetBool(had_old));
-  TPC_RETURN_IF_ERROR(dec.GetString(new_value));
+  TPC_RETURN_IF_ERROR(dec.GetStringView(new_value));
+  return Status::OK();
+}
+
+// Parses a checkpoint body (a store snapshot, written in key order) and,
+// when `store` is given, replaces its contents with the snapshot.
+Status LoadCheckpoint(std::string_view body,
+                      std::map<std::string, std::string, std::less<>>* store) {
+  if (store != nullptr) store->clear();
+  Decoder dec(body);
+  uint64_t n = 0;
+  TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view key, value;
+    TPC_RETURN_IF_ERROR(dec.GetStringView(&key));
+    TPC_RETURN_IF_ERROR(dec.GetStringView(&value));
+    // Keys arrive sorted, so each insert goes at the end.
+    if (store != nullptr) store->emplace_hint(store->end(), key, value);
+  }
   return Status::OK();
 }
 
@@ -296,45 +315,69 @@ void KVResourceManager::Crash() {
 }
 
 std::vector<uint64_t> KVResourceManager::Recover(
-    const std::vector<wal::LogRecord>& records) {
+    std::span<const wal::LogRecordView> records) {
+  // Everything here views the durable image; bytes are copied only into
+  // the store and into the in-doubt transactions' redo images.
+  struct UpdateView {
+    std::string_view key;
+    std::string_view old_value;
+    std::string_view new_value;
+    bool had_old = false;
+    uint32_t next = 0;  ///< 1-based position of the txn's next update
+  };
   struct RecoveredTxn {
-    std::vector<Update> updates;
+    uint64_t id = 0;
+    uint32_t first = 0;  ///< 1-based position of the first update
+    uint32_t last = 0;
     bool prepared = false;
     bool committed = false;
     bool aborted = false;
-    size_t first_seen = 0;  // log order for deterministic redo
   };
-  std::unordered_map<uint64_t, RecoveredTxn> txns;
-  std::vector<uint64_t> order;  // txn ids in first-appearance order
+  std::vector<UpdateView> updates;  // log order
+  std::vector<RecoveredTxn> txns;   // first-appearance (log) order
+  FlatId64Map<uint32_t> txn_pos;    // txn id -> 1-based position in txns
 
-  for (const auto& rec : records) {
+  // A checkpoint supersedes everything before it (checkpoints are only
+  // taken with no transactions in flight), so only the last one is loaded;
+  // earlier ones are still parsed, as every record is.
+  size_t last_checkpoint = records.size();
+  for (size_t i = records.size(); i-- > 0;) {
+    if (records[i].type == wal::RecordType::kCheckpoint &&
+        records[i].owner == name_) {
+      last_checkpoint = i;
+      break;
+    }
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    const wal::LogRecordView& rec = records[i];
     if (rec.owner != name_) continue;
     if (rec.type == wal::RecordType::kCheckpoint) {
-      // Snapshot: everything earlier is superseded (checkpoints are only
-      // taken with no transactions in flight).
-      store_.clear();
+      updates.clear();
       txns.clear();
-      order.clear();
-      Decoder dec(rec.body);
-      uint64_t n = 0;
-      TPC_CHECK_OK(dec.GetVarint(&n));
-      for (uint64_t i = 0; i < n; ++i) {
-        std::string key, value;
-        TPC_CHECK_OK(dec.GetString(&key));
-        TPC_CHECK_OK(dec.GetString(&value));
-        store_[key] = std::move(value);
-      }
+      txn_pos.Clear();
+      TPC_CHECK_OK(
+          LoadCheckpoint(rec.body, i == last_checkpoint ? &store_ : nullptr));
       continue;
     }
-    auto [it, inserted] = txns.try_emplace(rec.txn);
-    if (inserted) order.push_back(rec.txn);
-    RecoveredTxn& t = it->second;
+    uint32_t& pos = txn_pos.GetOrCreate(rec.txn);
+    if (pos == 0) {
+      txns.emplace_back().id = rec.txn;
+      pos = static_cast<uint32_t>(txns.size());
+    }
+    RecoveredTxn& t = txns[pos - 1];
     switch (rec.type) {
       case wal::RecordType::kRmUpdate: {
-        Update u;
+        UpdateView u;
         TPC_CHECK_OK(DecodeUpdateBody(rec.body, &u.key, &u.old_value,
                                       &u.had_old, &u.new_value));
-        t.updates.push_back(std::move(u));
+        updates.push_back(u);
+        const auto at = static_cast<uint32_t>(updates.size());
+        if (t.last == 0) {
+          t.first = at;
+        } else {
+          updates[t.last - 1].next = at;
+        }
+        t.last = at;
         break;
       }
       case wal::RecordType::kRmPrepared: t.prepared = true; break;
@@ -345,29 +388,40 @@ std::vector<uint64_t> KVResourceManager::Recover(
   }
 
   // Redo phase: committed transactions' updates, in log order.
-  for (uint64_t id : order) {
-    const RecoveredTxn& t = txns[id];
+  for (const RecoveredTxn& t : txns) {
     if (!t.committed) continue;
-    for (const auto& u : t.updates) store_[u.key] = u.new_value;
+    for (uint32_t u = t.first; u != 0; u = updates[u - 1].next) {
+      const UpdateView& up = updates[u - 1];
+      auto it = store_.lower_bound(up.key);
+      if (it != store_.end() && it->first == up.key) {
+        it->second.assign(up.new_value);
+      } else {
+        store_.emplace_hint(it, up.key, up.new_value);
+      }
+    }
   }
 
   // In-doubt: prepared, unresolved. Re-acquire exclusive locks and keep the
   // redo images until the TM resolves the outcome.
   std::vector<uint64_t> in_doubt;
-  for (uint64_t id : order) {
-    RecoveredTxn& t = txns[id];
+  for (const RecoveredTxn& t : txns) {
     if (!t.prepared || t.committed || t.aborted) continue;
-    in_doubt.push_back(id);
+    in_doubt.push_back(t.id);
     TxnState state;
     state.prepared = true;
     state.recovered = true;
-    state.updates = std::move(t.updates);
+    for (uint32_t u = t.first; u != 0; u = updates[u - 1].next) {
+      const UpdateView& up = updates[u - 1];
+      state.updates.push_back(Update{std::string(up.key),
+                                     std::string(up.old_value), up.had_old,
+                                     std::string(up.new_value)});
+    }
     for (const auto& u : state.updates) {
-      locks_.Acquire(id, u.key, lock::LockMode::kExclusive, [](Status st) {
+      locks_.Acquire(t.id, u.key, lock::LockMode::kExclusive, [](Status st) {
         TPC_CHECK(st.ok());  // fresh lock table: grants are immediate
       });
     }
-    active_[id] = std::move(state);
+    active_[t.id] = std::move(state);
   }
   return in_doubt;
 }

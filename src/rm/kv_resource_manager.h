@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,11 +100,12 @@ class KVResourceManager : public ResourceManager {
   /// Wipes volatile state (store image, active transactions, locks).
   void Crash();
 
-  /// Rebuilds the store from the given durable log records (the node's
-  /// recovery pass hands each RM the records it owns). Returns the
-  /// transactions left in doubt (prepared, outcome unknown): the TM must
-  /// resolve each via ResolveRecovered().
-  std::vector<uint64_t> Recover(const std::vector<wal::LogRecord>& records);
+  /// Rebuilds the store from the durable log's records (the node's
+  /// recovery pass hands every RM the same scan; each picks the records it
+  /// owns). The views need only live for the call. Returns the transactions
+  /// left in doubt (prepared, outcome unknown): the TM must resolve each
+  /// via ResolveRecovered().
+  std::vector<uint64_t> Recover(std::span<const wal::LogRecordView> records);
 
   /// Applies the outcome for a transaction reported in doubt by Recover().
   void ResolveRecovered(uint64_t txn, bool commit);

@@ -91,32 +91,52 @@ void PaxosAcceptor::EncodeSnapshot(uint64_t txn, std::string* out) const {
   }
 }
 
-Status PaxosAcceptor::RestoreSnapshot(uint64_t txn, std::string_view body) {
+namespace {
+
+// The one snapshot parser. With `out` null it only validates, reading the
+// names as views, so it allocates nothing.
+Status ParseSnapshot(std::string_view body, AcceptorTxn* out) {
   Decoder dec(body);
-  AcceptorTxn state;
+  AcceptorTxn scratch;
+  AcceptorTxn& state = out != nullptr ? *out : scratch;
+  std::string_view name;
   TPC_RETURN_IF_ERROR(dec.GetVarint(&state.promised));
-  TPC_RETURN_IF_ERROR(dec.GetString(&state.leader0));
+  TPC_RETURN_IF_ERROR(dec.GetStringView(&name));
+  if (out != nullptr) state.leader0.assign(name);
   uint64_t n = 0;
   TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
   if (n > 4096) return Status::Corruption("acceptor cohort implausible");
   for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    TPC_RETURN_IF_ERROR(dec.GetString(&name));
-    state.cohort.push_back(std::move(name));
+    TPC_RETURN_IF_ERROR(dec.GetStringView(&name));
+    if (out != nullptr) state.cohort.emplace_back(name);
   }
   TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
   if (n > 4096) return Status::Corruption("acceptor instances implausible");
   for (uint64_t i = 0; i < n; ++i) {
     AcceptorInstance a;
-    TPC_RETURN_IF_ERROR(dec.GetString(&a.name));
+    TPC_RETURN_IF_ERROR(dec.GetStringView(&name));
     TPC_RETURN_IF_ERROR(dec.GetVarint(&a.ballot));
     uint8_t prepared = 0;
     TPC_RETURN_IF_ERROR(dec.GetU8(&prepared));
     if (prepared > 1) return Status::Corruption("bad acceptor value");
+    if (out == nullptr) continue;
+    a.name.assign(name);
     a.prepared = prepared != 0;
     state.accepted.push_back(std::move(a));
   }
   if (!dec.empty()) return Status::Corruption("trailing acceptor bytes");
+  return Status::OK();
+}
+
+}  // namespace
+
+Status PaxosAcceptor::ValidateSnapshot(std::string_view body) {
+  return ParseSnapshot(body, nullptr);
+}
+
+Status PaxosAcceptor::RestoreSnapshot(uint64_t txn, std::string_view body) {
+  AcceptorTxn state;
+  TPC_RETURN_IF_ERROR(ParseSnapshot(body, &state));
   if (state.promised == 0 && state.accepted.empty() && state.cohort.empty() &&
       state.leader0.empty()) {
     // An empty snapshot is the END tombstone: last-record-wins replay must

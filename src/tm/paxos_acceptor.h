@@ -96,6 +96,10 @@ class PaxosAcceptor {
   /// Replaces the transaction's state from a snapshot body.
   Status RestoreSnapshot(uint64_t txn, std::string_view body);
 
+  /// Checks a snapshot body as RestoreSnapshot would, restoring nothing and
+  /// allocating nothing (recovery validates superseded snapshots with it).
+  static Status ValidateSnapshot(std::string_view body);
+
   /// Volatile loss (crash). Durable state comes back via RestoreSnapshot.
   void Clear() { txns_.clear(); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -39,21 +38,34 @@ std::string EncodeBody(const TmRecordBody& body) {
   return enc.Release();
 }
 
-Status DecodeBody(std::string_view data, TmRecordBody* body) {
+// The fixed fields of a TM record body; `upstream` views the body's bytes.
+struct TmBodyHead {
+  std::string_view upstream;
+  bool is_root = false;
+  bool heur_commit = false;
+};
+
+// The one body parser. The name lists are copied into `lists` only when it
+// is given: recovery validates every record's body without allocating and
+// decodes the lists of just the bodies it restores.
+Status ParseBody(std::string_view data, TmBodyHead* head,
+                 TmRecordBody* lists = nullptr) {
   Decoder dec(data);
-  TPC_RETURN_IF_ERROR(dec.GetString(&body->upstream));
-  TPC_RETURN_IF_ERROR(dec.GetBool(&body->is_root));
-  TPC_RETURN_IF_ERROR(dec.GetBool(&body->heur_commit));
-  uint64_t n = 0;
-  TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
-  body->children.resize(n);
-  for (uint64_t i = 0; i < n; ++i)
-    TPC_RETURN_IF_ERROR(dec.GetString(&body->children[i]));
-  TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
-  body->cohort.resize(n);
-  for (uint64_t i = 0; i < n; ++i)
-    TPC_RETURN_IF_ERROR(dec.GetString(&body->cohort[i]));
-  return Status::OK();
+  TPC_RETURN_IF_ERROR(dec.GetStringView(&head->upstream));
+  TPC_RETURN_IF_ERROR(dec.GetBool(&head->is_root));
+  TPC_RETURN_IF_ERROR(dec.GetBool(&head->heur_commit));
+  auto names = [&dec](std::vector<std::string>* out) -> Status {
+    uint64_t n = 0;
+    TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
+    for (uint64_t i = 0; i < n; ++i) {
+      std::string_view name;
+      TPC_RETURN_IF_ERROR(dec.GetStringView(&name));
+      if (out != nullptr) out->emplace_back(name);
+    }
+    return Status::OK();
+  };
+  TPC_RETURN_IF_ERROR(names(lists != nullptr ? &lists->children : nullptr));
+  return names(lists != nullptr ? &lists->cohort : nullptr);
 }
 
 }  // namespace
@@ -2912,7 +2924,9 @@ void TransactionManager::Restart() {
 }
 
 void TransactionManager::RecoverFromLog() {
-  const std::vector<wal::LogRecord> records = log_->Recover();
+  // One scan of the durable image; every record below is a view into it,
+  // valid for this synchronous pass only (StorageBackend::durable()).
+  const std::vector<wal::LogRecordView> records = log_->RecoverViews();
 
   // Resource managers first (store redo; collects their in-doubt lists).
   std::vector<std::vector<uint64_t>> rm_in_doubt;
@@ -2921,6 +2935,7 @@ void TransactionManager::RecoverFromLog() {
 
   // Classify TM state per transaction.
   struct TmTxnImage {
+    uint64_t id = 0;
     bool commit_pending = false;
     bool prepared = false;
     bool committed = false;
@@ -2928,60 +2943,74 @@ void TransactionManager::RecoverFromLog() {
     bool end = false;
     bool heuristic = false;
     bool heur_commit = false;
-    TmRecordBody last_body;  // from the most recent state-bearing record
+    std::string_view last_body;  // the most recent state-bearing record's
+    std::string_view upstream;   // its upstream, else a later heuristic's
   };
-  std::map<uint64_t, TmTxnImage> images;
+  // Where a transaction's TM image and last acceptor snapshot sit (1-based
+  // positions; 0 = none).
+  struct Slots {
+    uint32_t image = 0;
+    uint32_t accept = 0;
+  };
+  std::vector<TmTxnImage> images;
+  std::vector<std::pair<uint64_t, std::string_view>> accepts;
+  FlatId64Map<Slots> slots;
   const std::string owner = name_ + ".tm";
-  for (const auto& rec : records) {
+  for (const wal::LogRecordView& rec : records) {
     if (rec.owner != owner) continue;
     if (rec.type == wal::RecordType::kTmAccept) {
-      // Acceptor snapshots are a separate state machine: restore them
-      // directly (last record wins) without creating a TM image — an
-      // acceptor-only node must not fabricate transaction state.
-      TPC_CHECK_OK(acceptor_.RestoreSnapshot(rec.txn, rec.body));
+      // Acceptor snapshots are a separate state machine, restored below
+      // without a TM image — an acceptor-only node must not fabricate
+      // transaction state. Every snapshot must parse, but the last one per
+      // transaction wins, so only that one is restored.
+      TPC_CHECK_OK(PaxosAcceptor::ValidateSnapshot(rec.body));
+      uint32_t& accept = slots.GetOrCreate(rec.txn).accept;
+      if (accept == 0) {
+        accepts.emplace_back(rec.txn, rec.body);
+        accept = static_cast<uint32_t>(accepts.size());
+      } else {
+        accepts[accept - 1].second = rec.body;
+      }
       continue;
     }
-    TmTxnImage& img = images[rec.txn];
-    TmRecordBody body;
-    switch (rec.type) {
-      case wal::RecordType::kTmCommitPending:
-        img.commit_pending = true;
-        TPC_CHECK_OK(DecodeBody(rec.body, &body));
-        img.last_body = body;
-        break;
-      case wal::RecordType::kTmPrepared:
-        img.prepared = true;
-        TPC_CHECK_OK(DecodeBody(rec.body, &body));
-        img.last_body = body;
-        break;
-      case wal::RecordType::kTmCommitted:
-        img.committed = true;
-        TPC_CHECK_OK(DecodeBody(rec.body, &body));
-        img.last_body = body;
-        break;
-      case wal::RecordType::kTmAborted:
-        img.aborted = true;
-        if (!rec.body.empty()) {
-          TPC_CHECK_OK(DecodeBody(rec.body, &body));
-          img.last_body = body;
-        }
-        break;
-      case wal::RecordType::kTmEnd:
-        img.end = true;
-        break;
-      case wal::RecordType::kTmHeuristic:
-        img.heuristic = true;
-        TPC_CHECK_OK(DecodeBody(rec.body, &body));
-        img.heur_commit = body.heur_commit;
-        if (img.last_body.upstream.empty())
-          img.last_body.upstream = body.upstream;
-        break;
-      default:
-        break;
+    uint32_t& image = slots.GetOrCreate(rec.txn).image;
+    if (image == 0) {
+      images.emplace_back().id = rec.txn;
+      image = static_cast<uint32_t>(images.size());
     }
+    TmTxnImage& img = images[image - 1];
+    switch (rec.type) {
+      case wal::RecordType::kTmCommitPending: img.commit_pending = true; break;
+      case wal::RecordType::kTmPrepared: img.prepared = true; break;
+      case wal::RecordType::kTmCommitted: img.committed = true; break;
+      case wal::RecordType::kTmAborted: img.aborted = true; break;
+      case wal::RecordType::kTmEnd: img.end = true; continue;
+      case wal::RecordType::kTmHeuristic: {
+        TmBodyHead head;
+        TPC_CHECK_OK(ParseBody(rec.body, &head));
+        img.heuristic = true;
+        img.heur_commit = head.heur_commit;
+        if (img.upstream.empty()) img.upstream = head.upstream;
+        continue;
+      }
+      default: continue;
+    }
+    // A state-bearing record; only an abort record may come without a body.
+    if (rec.type == wal::RecordType::kTmAborted && rec.body.empty()) continue;
+    TmBodyHead head;
+    TPC_CHECK_OK(ParseBody(rec.body, &head));
+    img.last_body = rec.body;
+    img.upstream = head.upstream;
   }
+  for (const auto& [id, body] : accepts)
+    TPC_CHECK_OK(acceptor_.RestoreSnapshot(id, body));
+  // Resume transactions in ascending id order, as the recovery pass always
+  // has (trace-visible: it orders the resent decisions and inquiries).
+  std::sort(images.begin(), images.end(),
+            [](const TmTxnImage& a, const TmTxnImage& b) { return a.id < b.id; });
 
-  for (const auto& [id, img] : images) {
+  for (const TmTxnImage& img : images) {
+    const uint64_t id = img.id;
     if (img.end) {
       // Fully resolved before the crash; restore the archive view.
       TxnView view;
@@ -2997,6 +3026,16 @@ void TransactionManager::RecoverFromLog() {
       continue;
     }
 
+    // The last state-bearing body, decoded (names and all) only now that
+    // the transaction is known to need it; its strings move into the Txn.
+    TmRecordBody last_body;
+    if (!img.last_body.empty()) {
+      TmBodyHead head;
+      TPC_CHECK_OK(ParseBody(img.last_body, &head, &last_body));
+      last_body.is_root = head.is_root;
+    }
+    last_body.upstream.assign(img.upstream);
+
     if (img.heuristic && !img.committed && !img.aborted) {
       // We decided unilaterally and then crashed before seeing the real
       // outcome. Restore the heuristic state; the coordinator's decision
@@ -3010,9 +3049,9 @@ void TransactionManager::RecoverFromLog() {
       for (auto* rm : rms_) {
         if (rm->InDoubt(id)) rm->ResolveRecovered(id, img.heur_commit);
       }
-      if (!img.last_body.upstream.empty()) {
+      if (!last_body.upstream.empty()) {
         txn.has_upstream = true;
-        txn.upstream = img.last_body.upstream;
+        txn.upstream = std::move(last_body.upstream);
         ArmInquiryTimer(txn);
       }
       continue;
@@ -3039,17 +3078,17 @@ void TransactionManager::RecoverFromLog() {
       txn.commit_decision = commit;
       txn.outcome = commit ? Outcome::kCommitted : Outcome::kAborted;
       txn.phase = Phase::kDeciding;
-      txn.is_root = img.last_body.is_root;
-      if (!img.last_body.upstream.empty()) {
+      txn.is_root = last_body.is_root;
+      if (!last_body.upstream.empty()) {
         txn.has_upstream = true;
-        txn.upstream = img.last_body.upstream;
+        txn.upstream = std::move(last_body.upstream);
       }
       for (auto* rm : rms_) {
         if (rm->InDoubt(id)) rm->ResolveRecovered(id, commit);
       }
-      for (const auto& peer : img.last_body.children) {
+      for (std::string& peer : last_body.children) {
         Child child;
-        child.peer = peer;
+        child.peer = std::move(peer);
         child.voted = true;
         child.vote = rm::Vote::kYes;
         child.prepare_sent = true;
@@ -3078,12 +3117,12 @@ void TransactionManager::RecoverFromLog() {
       txn.phase = Phase::kInDoubt;
       txn.outcome = Outcome::kInDoubt;
       txn.voted_yes = true;
-      txn.has_upstream = !img.last_body.upstream.empty();
-      txn.upstream = img.last_body.upstream;
-      txn.is_root = img.last_body.is_root;
-      for (const auto& peer : img.last_body.children) {
+      txn.has_upstream = !last_body.upstream.empty();
+      txn.upstream = std::move(last_body.upstream);
+      txn.is_root = last_body.is_root;
+      for (std::string& peer : last_body.children) {
         Child child;
-        child.peer = peer;
+        child.peer = std::move(peer);
         child.voted = true;
         child.vote = rm::Vote::kYes;
         child.prepare_sent = true;
@@ -3096,10 +3135,10 @@ void TransactionManager::RecoverFromLog() {
         // presumption (a takeover may still commit); it re-joins the
         // consensus instead. The root (which has no upstream) re-runs the
         // takeover immediately; participants let the takeover timer fire.
-        if (!img.last_body.cohort.empty())
-          txn.paxos_cohort = img.last_body.cohort;
+        if (!last_body.cohort.empty())
+          txn.paxos_cohort = std::move(last_body.cohort);
         txn.paxos_voted_self = true;
-        if (img.last_body.is_root) {
+        if (last_body.is_root) {
           StartPaxosTakeover(txn);
           if (!up_) return;
           Txn* t = FindTxn(id);
@@ -3122,14 +3161,14 @@ void TransactionManager::RecoverFromLog() {
       // PN coordinator crashed before the decision: presume nothing, decide
       // abort, and drive the subordinates — the coordinator's duty in PN.
       Txn& txn = GetOrCreateTxn(id);
-      txn.is_root = img.last_body.is_root;
-      if (!img.last_body.upstream.empty()) {
+      txn.is_root = last_body.is_root;
+      if (!last_body.upstream.empty()) {
         txn.has_upstream = true;
-        txn.upstream = img.last_body.upstream;
+        txn.upstream = std::move(last_body.upstream);
       }
-      for (const auto& peer : img.last_body.children) {
+      for (std::string& peer : last_body.children) {
         Child child;
-        child.peer = peer;
+        child.peer = std::move(peer);
         child.voted = true;
         child.vote = rm::Vote::kYes;
         child.prepare_sent = true;
@@ -3157,7 +3196,8 @@ void TransactionManager::RecoverFromLog() {
   // committed — abort by presumption, which is safe under every protocol.
   for (size_t i = 0; i < rms_.size(); ++i) {
     for (uint64_t id : rm_in_doubt[i]) {
-      if (images.count(id)) continue;
+      const Slots* slot = slots.Find(id);
+      if (slot != nullptr && slot->image != 0) continue;
       rms_[i]->ResolveRecovered(id, false);
     }
   }

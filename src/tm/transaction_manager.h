@@ -228,6 +228,9 @@ class TransactionManager : public net::Endpoint {
   /// non-acceptors). END-driven reclamation keeps this bounded by the
   /// in-flight window; tests gate the leak here.
   size_t AcceptorTxnCount() const { return acceptor_.txn_count(); }
+  /// The co-located paxos acceptor's state (tests compare it with a replay
+  /// of the log).
+  const PaxosAcceptor& acceptor() const { return acceptor_; }
 
   rm::KVResourceManager* rm(size_t index) { return rms_.at(index); }
   size_t rm_count() const { return rms_.size(); }

@@ -1,5 +1,10 @@
-// Software CRC32C (Castagnoli). Used to checksum log records so that a
-// torn/corrupt tail is detected during recovery scans.
+// CRC32C (Castagnoli). Used to checksum log records so that a torn/corrupt
+// tail is detected during recovery scans.
+//
+// Two implementations produce bit-identical values: the SSE4.2 `crc32`
+// instruction on x86-64 CPUs that have it, and a portable slice-by-8 table
+// loop everywhere else. Extend() picks one on first use with
+// __builtin_cpu_supports; there is no build flag and no setting.
 
 #ifndef TPC_UTIL_CRC32C_H_
 #define TPC_UTIL_CRC32C_H_
@@ -12,6 +17,15 @@ namespace tpc::crc32c {
 
 /// Extends `init_crc` with `data`; pass 0 as the initial value.
 uint32_t Extend(uint32_t init_crc, const void* data, size_t n);
+
+/// The portable slice-by-8 path, whatever the CPU.
+uint32_t ExtendPortable(uint32_t init_crc, const void* data, size_t n);
+
+/// True when this CPU runs the SSE4.2 path (Extend() then uses it).
+bool HardwareAvailable();
+
+/// The SSE4.2 path. Only call it when HardwareAvailable().
+uint32_t ExtendHardware(uint32_t init_crc, const void* data, size_t n);
 
 /// CRC32C of a buffer.
 inline uint32_t Value(const void* data, size_t n) { return Extend(0, data, n); }

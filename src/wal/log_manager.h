@@ -138,8 +138,13 @@ class LogManager {
   /// still needed for recovery (see Node::Checkpoint).
   void DiscardPrefix(Lsn lsn);
 
-  /// Recovery scan of durable content.
+  /// Recovery scan of durable content, as owned records.
   std::vector<LogRecord> Recover() const { return ScanLog(storage_->durable()); }
+  /// The same scan as views into storage().durable(): no record is copied,
+  /// and the views are valid only for the synchronous recovery pass.
+  std::vector<LogRecordView> RecoverViews() const {
+    return ScanLogViews(storage_->durable());
+  }
 
   /// First LSN not yet guaranteed durable.
   Lsn durable_lsn() const { return storage_->durable_bytes(); }

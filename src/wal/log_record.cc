@@ -58,41 +58,69 @@ std::string LogRecord::Encode() const {
   return out;
 }
 
-Result<LogRecord> DecodeRecord(std::string_view data, size_t* offset) {
-  size_t pos = *offset;
-  if (pos > data.size() || data.size() - pos < 8)
-    return Status::Corruption("truncated header");
+namespace {
+
+// The one record parser. Returns nullptr and advances *offset past the
+// record, or returns why the record at *offset is not intact.
+const char* ParseRecord(std::string_view data, size_t* offset,
+                        LogRecordView* rec) {
+  const size_t pos = *offset;
+  if (pos > data.size() || data.size() - pos < 8) return "truncated header";
   Decoder hdr(data.substr(pos, 8));
   uint32_t masked_crc = 0, len = 0;
-  TPC_RETURN_IF_ERROR(hdr.GetU32(&masked_crc));
-  TPC_RETURN_IF_ERROR(hdr.GetU32(&len));
-  if (data.size() - pos - 8 < len) return Status::Corruption("truncated body");
-  std::string_view inner = data.substr(pos + 8, len);
+  if (!hdr.GetU32(&masked_crc).ok() || !hdr.GetU32(&len).ok())
+    return "truncated header";
+  if (data.size() - pos - 8 < len) return "truncated body";
+  const std::string_view inner = data.substr(pos + 8, len);
   if (crc32c::Unmask(masked_crc) != crc32c::Value(inner))
-    return Status::Corruption("crc mismatch");
-
+    return "crc mismatch";
+  // Past the CRC only a writer bug can fail to decode.
   Decoder dec(inner);
-  LogRecord rec;
   uint8_t type = 0;
-  TPC_RETURN_IF_ERROR(dec.GetU8(&type));
-  rec.type = static_cast<RecordType>(type);
-  uint64_t txn = 0;
-  TPC_RETURN_IF_ERROR(dec.GetVarint(&txn));
-  rec.txn = txn;
-  TPC_RETURN_IF_ERROR(dec.GetString(&rec.owner));
-  TPC_RETURN_IF_ERROR(dec.GetString(&rec.body));
+  if (!dec.GetU8(&type).ok() || !dec.GetVarint(&rec->txn).ok() ||
+      !dec.GetStringView(&rec->owner).ok() ||
+      !dec.GetStringView(&rec->body).ok())
+    return "malformed record";
+  rec->type = static_cast<RecordType>(type);
   *offset = pos + 8 + len;
+  return nullptr;
+}
+
+}  // namespace
+
+LogRecord LogRecordView::ToRecord() const {
+  LogRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  rec.owner.assign(owner);
+  rec.body.assign(body);
   return rec;
+}
+
+bool LogScanner::Next(LogRecordView* rec) {
+  if (error_ != nullptr || offset_ == image_.size()) return false;
+  error_ = ParseRecord(image_, &offset_, rec);
+  return error_ == nullptr;
+}
+
+Result<LogRecord> DecodeRecord(std::string_view data, size_t* offset) {
+  LogRecordView rec;
+  if (const char* error = ParseRecord(data, offset, &rec))
+    return Status::Corruption(error);
+  return rec.ToRecord();
+}
+
+std::vector<LogRecordView> ScanLogViews(std::string_view data) {
+  std::vector<LogRecordView> out;
+  LogScanner scan(data);
+  for (LogRecordView rec; scan.Next(&rec);) out.push_back(rec);
+  return out;
 }
 
 std::vector<LogRecord> ScanLog(std::string_view data) {
   std::vector<LogRecord> out;
-  size_t offset = 0;
-  while (offset < data.size()) {
-    auto rec = DecodeRecord(data, &offset);
-    if (!rec.ok()) break;  // torn tail: stop at first bad record
-    out.push_back(std::move(rec).value());
-  }
+  LogScanner scan(data);
+  for (LogRecordView rec; scan.Next(&rec);) out.push_back(rec.ToRecord());
   return out;
 }
 

@@ -9,6 +9,10 @@
 //   [u32 masked crc][u32 len][u8 type][varint txn][string owner][string body]
 // CRC covers everything after the crc field. A recovery scan stops at the
 // first record whose CRC does not verify (torn tail after a crash).
+//
+// There is one parser: LogScanner walks an image and yields LogRecordViews
+// whose owner and body point into the image, so a scan copies nothing.
+// DecodeRecord and ScanLog wrap it for callers that want owned records.
 
 #ifndef TPC_WAL_LOG_RECORD_H_
 #define TPC_WAL_LOG_RECORD_H_
@@ -71,12 +75,51 @@ struct LogRecord {
   void EncodeTo(std::string& out) const;
 };
 
+/// A record decoded in place: `owner` and `body` view the scanned image and
+/// are valid only while those bytes are (see StorageBackend::durable()).
+struct LogRecordView {
+  RecordType type = RecordType::kTmEnd;
+  uint64_t txn = 0;
+  std::string_view owner;
+  std::string_view body;
+
+  /// An owning copy.
+  LogRecord ToRecord() const;
+};
+
+/// One forward pass over a log image. Each Next() verifies one record's CRC
+/// and decodes its fields in place; the scan ends at the end of the image
+/// or at the first record that is torn or fails its CRC, which is the
+/// expected crash artifact. Allocates nothing (but for the error message of
+/// a record that passes its CRC and still fails to decode: a writer bug).
+class LogScanner {
+ public:
+  explicit LogScanner(std::string_view image) : image_(image) {}
+
+  /// The next intact record, or false once the scan has ended.
+  bool Next(LogRecordView* rec);
+
+  /// Bytes of the image consumed by the records returned so far.
+  size_t offset() const { return offset_; }
+  /// Why the scan ended early, or nullptr while it has not (a clean end of
+  /// the image is not an error).
+  const char* error() const { return error_; }
+
+ private:
+  std::string_view image_;
+  size_t offset_ = 0;
+  const char* error_ = nullptr;
+};
+
 /// Decodes one record starting at data[*offset]; advances *offset past it.
 /// Corruption (bad CRC, truncation) is reported, leaving *offset untouched.
 Result<LogRecord> DecodeRecord(std::string_view data, size_t* offset);
 
-/// Scans a log image, returning all intact records; a corrupt or torn tail
-/// terminates the scan silently (that is the expected crash artifact).
+/// Scans a log image, returning views of all intact records (see
+/// LogScanner); the only allocation is the vector's growth.
+std::vector<LogRecordView> ScanLogViews(std::string_view data);
+
+/// Scans a log image, returning owned copies of all intact records.
 std::vector<LogRecord> ScanLog(std::string_view data);
 
 }  // namespace tpc::wal

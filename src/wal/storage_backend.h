@@ -50,7 +50,10 @@ class StorageBackend {
   virtual void Crash() = 0;
 
   /// Durable contents (what a recovery scan reads), starting at
-  /// base_offset().
+  /// base_offset(). The recovery scan (LogScanner) hands out views into
+  /// this string instead of copying records, so they are valid only for
+  /// the synchronous recovery pass that took them: a later Write
+  /// retirement, Truncate or durable() call may move or rewrite the bytes.
   virtual const std::string& durable() const = 0;
 
   /// Discards the first `bytes` of durable content (checkpoint-driven log

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/cluster.h"
 
 namespace tpc {
@@ -90,6 +92,43 @@ TEST(CheckpointTest, RefusedWhileTransactionsInFlight) {
   ASSERT_TRUE(commit.completed);
   c.RunFor(sim::kSecond);
   EXPECT_TRUE(c.node("a").Checkpoint(nullptr).ok());
+}
+
+// An acceptor-only paxos node runs no transaction of its own, yet the
+// accept it forced for an undecided transaction lives only in its log.
+// Repro: c0 crashes right after fanning out its vote, so a2 holds the
+// accept; a checkpoint at a2 used to pass the in-flight check and discard
+// the whole log (a2 has no RM to snapshot), and a crash then lost the
+// forced accept.
+TEST(CheckpointTest, RefusedWhileAcceptorHoldsLiveState) {
+  Cluster c{1};
+  NodeOptions base;
+  base.tm.protocol = tm::ProtocolKind::kPaxosCommit;
+  base.tm.acceptors = {"c0", "s1", "a2"};
+  base.tm.vote_timeout = 5 * sim::kSecond;
+  base.tm.inquiry_delay = 4 * sim::kSecond;
+  for (const char* n : {"c0", "s1", "a2"}) {
+    NodeOptions options = base;
+    if (std::string(n) == "a2") options.num_rms = 0;
+    c.AddNode(n, options);
+  }
+  c.Connect("c0", "s1");
+  c.Connect("c0", "a2");
+  c.Connect("s1", "a2");
+  const uint64_t txn = c.tm("c0").Begin();
+  c.tm("c0").Write(txn, 0, "k_c0", "v", [](Status) {});
+  c.ctx().failures().ArmCrash("c0", "root.after_paxos_vote_send", 1);
+  auto commit = c.StartCommit("c0", txn);
+  c.RunFor(sim::kSecond);
+  ASSERT_FALSE(c.tm("c0").IsUp());
+  ASSERT_EQ(c.tm("a2").ActiveTxnCount(), 0u);
+  ASSERT_EQ(c.tm("a2").AcceptorTxnCount(), 1u);
+
+  EXPECT_TRUE(c.node("a2").Checkpoint(nullptr).IsFailedPrecondition());
+  c.RunFor(sim::kSecond);
+  c.ctx().failures().CrashNow("a2");
+  c.node("a2").Restart();
+  EXPECT_EQ(c.tm("a2").AcceptorTxnCount(), 1u);
 }
 
 TEST(CheckpointTest, RefusedOnSharedLogNodes) {

@@ -150,7 +150,7 @@ TEST_F(KvRmTest, CommittedStateRebuiltFromLogAfterCrash) {
   Commit(1);
   rm_.Crash();
   EXPECT_TRUE(rm_.Peek("a").status().IsNotFound());  // volatile image gone
-  std::vector<uint64_t> in_doubt = rm_.Recover(log_.Recover());
+  std::vector<uint64_t> in_doubt = rm_.Recover(log_.RecoverViews());
   EXPECT_TRUE(in_doubt.empty());
   EXPECT_EQ(rm_.Peek("a").value_or(""), "1");
   EXPECT_EQ(rm_.Peek("b").value_or(""), "2");
@@ -169,7 +169,7 @@ TEST_F(KvRmTest, CrashCancelsQueuedWaitersTimeouts) {
   // Nothing is left armed for a transaction the crash discarded.
   EXPECT_EQ(ctx_.events().pending(), 0u);
   log_.Crash();
-  EXPECT_TRUE(rm_.Recover(log_.Recover()).empty());
+  EXPECT_TRUE(rm_.Recover(log_.RecoverViews()).empty());
   // Past the old waiter's deadline: its timeout must not run against the
   // rebuilt lock table.
   ctx_.events().RunUntil(ctx_.now() + KVOptions{}.lock_timeout + sim::kSecond);
@@ -182,7 +182,7 @@ TEST_F(KvRmTest, PreparedTxnRecoversInDoubtAndResolvesCommit) {
   Write(1, "k", "v");
   Prepare(1);
   rm_.Crash();
-  std::vector<uint64_t> in_doubt = rm_.Recover(log_.Recover());
+  std::vector<uint64_t> in_doubt = rm_.Recover(log_.RecoverViews());
   ASSERT_EQ(in_doubt, (std::vector<uint64_t>{1}));
   EXPECT_TRUE(rm_.InDoubt(1));
   // The in-doubt data is invisible and its locks are held.
@@ -202,7 +202,7 @@ TEST_F(KvRmTest, PreparedTxnResolvesAbortWithoutEffects) {
   Write(1, "k", "v");
   Prepare(1);
   rm_.Crash();
-  std::vector<uint64_t> in_doubt = rm_.Recover(log_.Recover());
+  std::vector<uint64_t> in_doubt = rm_.Recover(log_.RecoverViews());
   ASSERT_EQ(in_doubt.size(), 1u);
   rm_.ResolveRecovered(1, /*commit=*/false);
   ctx_.events().Run();
@@ -213,7 +213,7 @@ TEST_F(KvRmTest, UnpreparedTxnLostOnCrash) {
   Write(1, "k", "v");  // update record non-forced, nothing durable
   rm_.Crash();
   log_.Crash();
-  EXPECT_TRUE(rm_.Recover(log_.Recover()).empty());
+  EXPECT_TRUE(rm_.Recover(log_.RecoverViews()).empty());
   EXPECT_TRUE(rm_.Peek("k").status().IsNotFound());
 }
 
@@ -223,7 +223,7 @@ TEST_F(KvRmTest, CommitViaRecoveredFlagAppliesUpdates) {
   Write(1, "k", "v");
   Prepare(1);
   rm_.Crash();
-  ASSERT_EQ(rm_.Recover(log_.Recover()).size(), 1u);
+  ASSERT_EQ(rm_.Recover(log_.RecoverViews()).size(), 1u);
   Commit(1);
   EXPECT_EQ(rm_.Peek("k").value_or(""), "v");
 }

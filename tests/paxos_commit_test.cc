@@ -21,6 +21,7 @@
 #include "rm/kv_resource_manager.h"
 #include "tm/paxos_acceptor.h"
 #include "tm/types.h"
+#include "wal/log_record.h"
 
 namespace tpc {
 namespace {
@@ -316,6 +317,73 @@ TEST(PaxosCommitTest, RecoveryIdempotentUnderDoubleRestart) {
     EXPECT_EQ(f.c.tm("s1").InDoubtCount(), 0u) << "round " << round;
     EXPECT_EQ(f.c.tm("c0").InDoubtCount(), 0u) << "round " << round;
   }
+}
+
+// Restart restores only the last kTmAccept snapshot of each transaction.
+// That must leave exactly the state a replay of every snapshot in log
+// order leaves, END tombstones included.
+TEST(PaxosCommitTest, LastSnapshotRestoreMatchesFullReplay) {
+  PaxosCluster f;
+  // Committed transactions leave superseded snapshots and tombstones...
+  for (int i = 0; i < 3; ++i) {
+    f.StartWorkload();
+    const DrivenCommit r = f.c.CommitAndWait("c0", f.txn, 60 * sim::kSecond);
+    ASSERT_TRUE(r.completed);
+    f.c.RunFor(5 * sim::kSecond);
+  }
+  // ...and an undecided one leaves live accepts (s1's takeover waits for
+  // its inquiry delay).
+  f.StartWorkload();
+  f.c.ctx().failures().ArmCrash("c0", "root.after_paxos_vote_send", 1);
+  f.c.StartCommit("c0", f.txn);
+  f.c.RunFor(sim::kSecond);
+
+  for (const char* n : {"s1", "a2"}) {
+    f.c.ctx().failures().CrashNow(n);
+    const std::string owner = std::string(n) + ".tm";
+    PaxosAcceptor replay;
+    std::set<uint64_t> txns;
+    size_t snapshots = 0;
+    for (const wal::LogRecord& rec : f.c.node(n).log().Recover()) {
+      if (rec.owner != owner || rec.type != wal::RecordType::kTmAccept)
+        continue;
+      ASSERT_TRUE(replay.RestoreSnapshot(rec.txn, rec.body).ok());
+      txns.insert(rec.txn);
+      ++snapshots;
+    }
+    f.c.ctx().failures().RestartNow(n);
+    EXPECT_GT(snapshots, txns.size()) << n << ": nothing superseded";
+    EXPECT_GT(replay.txn_count(), 0u) << n << ": no live accept";
+    EXPECT_LT(replay.txn_count(), txns.size()) << n << ": no tombstone";
+    EXPECT_EQ(f.c.tm(n).AcceptorTxnCount(), replay.txn_count()) << n;
+    for (uint64_t t : txns) {
+      std::string want, got;
+      replay.EncodeSnapshot(t, &want);
+      f.c.tm(n).acceptor().EncodeSnapshot(t, &got);
+      EXPECT_EQ(got, want) << n << " txn " << t;
+    }
+  }
+}
+
+// Every snapshot must still parse even though only the last one per
+// transaction is restored: a malformed (but CRC-valid) snapshot that a
+// later one supersedes is corruption all the same.
+TEST(PaxosCommitDeathTest, MalformedSupersededSnapshotStillChecked) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PaxosCluster f;
+  wal::LogRecord bad;
+  bad.type = wal::RecordType::kTmAccept;
+  bad.txn = 77;
+  bad.owner = "a2.tm";
+  bad.body = "\xff";  // a varint that never ends
+  wal::LogRecord good = bad;
+  good.body.clear();
+  PaxosAcceptor().EncodeSnapshot(77, &good.body);  // a tombstone
+  f.c.node("a2").log().Append(bad, /*force=*/false);
+  f.c.node("a2").log().Append(good, /*force=*/true);
+  f.c.RunFor(sim::kSecond);
+  f.c.ctx().failures().CrashNow("a2");
+  EXPECT_DEATH(f.c.ctx().failures().RestartNow("a2"), "CHECK failed");
 }
 
 // Satellite (a): two cohort members duel for the takeover across >= 3

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/binary_io.h"
 #include "util/crc32c.h"
@@ -34,6 +36,46 @@ TEST(Crc32cTest, ExtendMatchesWholeBuffer) {
   uint32_t split = crc32c::Extend(crc32c::Value(data.substr(0, 5)),
                                   data.data() + 5, data.size() - 5);
   EXPECT_EQ(whole, split);
+}
+
+TEST(Crc32cTest, CheckValue) {
+  // The standard CRC-32C check value, on whichever path Extend chose.
+  EXPECT_EQ(crc32c::Value("123456789"), 0xe3069283u);
+  EXPECT_EQ(crc32c::ExtendPortable(0, "123456789", 9), 0xe3069283u);
+}
+
+TEST(Crc32cTest, ChainedExtendMatchesAtEverySplit) {
+  const std::string data = "The quick brown fox jumps over the lazy dog.";
+  const uint32_t whole = crc32c::Value(data);
+  for (size_t k = 0; k <= data.size(); ++k) {
+    const uint32_t head = crc32c::Extend(0, data.data(), k);
+    EXPECT_EQ(crc32c::Extend(head, data.data() + k, data.size() - k), whole)
+        << "split at " << k;
+  }
+}
+
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  // Every length 0..1024 at 8 alignments: covers the 8-byte loops, their
+  // byte tails and unaligned loads on both paths.
+  std::vector<unsigned char> buf(1024 + 8);
+  for (size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>(i * 131 + (i >> 3));
+  const bool hw = crc32c::HardwareAvailable();
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const unsigned char* p = buf.data() + align;
+      const uint32_t portable = crc32c::ExtendPortable(0, p, n);
+      ASSERT_EQ(crc32c::Value(p, n), portable) << "n=" << n << " align=" << align;
+      if (hw) {
+        ASSERT_EQ(crc32c::ExtendHardware(0, p, n), portable)
+            << "n=" << n << " align=" << align;
+        ASSERT_EQ(crc32c::ExtendHardware(0x12345678u, p, n),
+                  crc32c::ExtendPortable(0x12345678u, p, n))
+            << "n=" << n << " align=" << align;
+      }
+    }
+  }
+  if (!hw) GTEST_SKIP() << "no SSE4.2 on this CPU: portable path only";
 }
 
 TEST(Crc32cTest, MaskRoundTripsAndDiffers) {

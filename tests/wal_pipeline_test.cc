@@ -360,5 +360,43 @@ TEST(WalAllocationTest, SteadyStateFlushLoopDoesNotAllocate) {
   EXPECT_EQ(acks, 2 * (64 + 256));
 }
 
+// The recovery scan copies no record: a 2000-record image (owners and
+// bodies well past the small-string buffer) scans with no allocation at
+// all, and into a vector of views with only the vector's own growth.
+TEST(WalAllocationTest, RecoveryScanAllocatesOnlyTheResultVector) {
+  constexpr size_t kRecords = 2000;
+  std::string image;
+  for (size_t i = 0; i < kRecords; ++i) {
+    MakeRecord(i % 3 == 0 ? RecordType::kTmAccept : RecordType::kRmUpdate, i,
+               i % 2 == 0 ? "node-with-a-long-name.tm" : "node-with-a-long-name.rm0",
+               std::string(40 + i % 64, static_cast<char>('a' + i % 26)))
+        .EncodeTo(image);
+  }
+  // The growth steps a vector of kRecords views takes on its own.
+  unsigned long long growths = 0;
+  {
+    std::vector<LogRecordView> v;
+    for (size_t i = 0; i < kRecords; ++i) {
+      const size_t cap = v.capacity();
+      v.emplace_back();
+      if (v.capacity() != cap) ++growths;
+    }
+  }
+
+  unsigned long long before = g_alloc_count;
+  LogScanner scan(image);
+  size_t scanned = 0;
+  for (LogRecordView rec; scan.Next(&rec);) ++scanned;
+  EXPECT_EQ(g_alloc_count - before, 0u) << "LogScanner must not allocate";
+  EXPECT_EQ(scanned, kRecords);
+  EXPECT_EQ(scan.error(), nullptr);
+
+  before = g_alloc_count;
+  const std::vector<LogRecordView> views = ScanLogViews(image);
+  EXPECT_EQ(g_alloc_count - before, growths);
+  ASSERT_EQ(views.size(), kRecords);
+  EXPECT_EQ(views.back().txn, kRecords - 1);
+}
+
 }  // namespace
 }  // namespace tpc::wal
