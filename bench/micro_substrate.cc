@@ -185,29 +185,6 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendDeliver);
 
-// Seed-shaped baseline: by-name message whose strings are resolved and
-// copied at the network boundary.
-void BM_NetworkSendDeliverLegacy(benchmark::State& state) {
-  sim::SimContext ctx;
-  net::Network network(&ctx);
-  network.set_tracing(false);
-  NullEndpoint a, b;
-  network.Register("a", &a);
-  network.Register("b", &b);
-  const std::string payload(64, 'm');
-  for (auto _ : state) {
-    net::LegacyMessage msg;
-    msg.from = "a";
-    msg.to = "b";
-    msg.kind = net::MsgKind::kApp;
-    msg.payload = payload;
-    benchmark::DoNotOptimize(network.SendLegacy(std::move(msg)));
-    ctx.events().Run();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NetworkSendDeliverLegacy);
-
 }  // namespace
 }  // namespace tpc
 

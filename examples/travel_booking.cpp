@@ -96,9 +96,10 @@ int main() {
   {
     Trip trip(tm::ProtocolKind::kPresumedAbort);
     uint64_t txn = trip.Book();
-    trip.cluster.ctx().failures().ArmCrash("hotel", "after_prepared_force");
+    trip.cluster.ctx().failures().ArmCrash("hotel", "sub.after_prepared_force");
     auto commit = trip.cluster.StartCommit("agency", txn);
     trip.cluster.RunFor(10 * sim::kSecond);
+    TPC_CHECK(trip.cluster.ctx().failures().node_epoch("hotel") == 1);
     std::printf("\n2. Hotel crashed during commit; agency still waiting: %s\n",
                 commit->completed ? "no (?)" : "yes");
     trip.cluster.node("hotel").Restart();
@@ -152,9 +153,10 @@ int main() {
     TPC_CHECK(c.tm("agency").SendWork(txn, "franchise", "501").ok());
     c.RunFor(sim::kSecond);
 
-    c.ctx().failures().ArmCrash("franchise", "after_commit_force");
+    c.ctx().failures().ArmCrash("franchise", "casc.after_commit_force");
     auto commit = c.StartCommit("agency", txn);
     c.RunFor(60 * sim::kSecond);   // hotel heuristically aborts at +30s
+    TPC_CHECK(c.ctx().failures().node_epoch("franchise") == 1);
     c.node("franchise").Restart();
     c.RunFor(300 * sim::kSecond);  // recovery re-drives the commit
 

@@ -7,6 +7,7 @@
 
 #include "harness/cluster.h"
 #include "harness/sequence_diagram.h"
+#include "tm/crash_points.h"
 #include "util/format.h"
 
 namespace tpc::harness {
@@ -265,6 +266,8 @@ class ScriptRunner {
 
   Status CmdCrashAt(const std::vector<std::string>& tokens) {
     TPC_RETURN_IF_ERROR(Need(tokens, 3));
+    if (!tm::IsCrashPointName(tokens[2]))
+      return Status::InvalidArgument("unknown crash point: " + tokens[2]);
     int occurrence = tokens.size() > 3 ? std::atoi(tokens[3].c_str()) : 1;
     cluster_.ctx().failures().ArmCrash(tokens[1], tokens[2], occurrence);
     return Status::OK();

@@ -20,7 +20,7 @@
 //   abort <txn> <node>
 //   unsolicited <txn> <node>
 //   run <dur>
-//   crash-at <node> <point> [occurrence]
+//   crash-at <node> <point> [occurrence]        # point: tm/crash_points.h
 //   crash <node>
 //   restart <node>
 //   partition <a> <b>   |   heal <a> <b>

@@ -216,12 +216,14 @@ bool ParseRepro(const std::string& line, TortureConfig* out) {
       if (at == std::string::npos) return false;
       out->crash_node = value.substr(0, at);
       out->crash_point = value.substr(at + 1);
+      if (!tm::IsCrashPointName(out->crash_point)) return false;
     } else if (key == "occ") {
       out->occurrence = atoi(value.c_str());
     } else if (key == "epoch") {
       out->epoch = atoi(value.c_str());
     } else if (key == "crash2") {
       out->crash2_point = value;
+      if (!tm::IsCrashPointName(out->crash2_point)) return false;
     } else if (key == "delay_ms") {
       out->recovery_delay = strtoll(value.c_str(), nullptr, 10) *
                             sim::kMillisecond;

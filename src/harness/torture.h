@@ -78,7 +78,8 @@ struct TortureConfig {
 };
 
 /// Parses a Repro() line (whitespace-separated key=value tokens). Returns
-/// false on malformed input.
+/// false on malformed input, including a crash point outside the catalogs
+/// (tm::IsCrashPointName).
 bool ParseRepro(const std::string& line, TortureConfig* out);
 
 /// A (node, crash point) pair reached during a cell, with its hit count —

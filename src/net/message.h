@@ -112,20 +112,6 @@ struct Message {
   }
 };
 
-/// The seed-era message shape: four heap strings per message, addressed by
-/// name. Kept as the frozen string-path baseline so bench/commit_bench can
-/// measure what the pooled path saves (and so compatibility callers have a
-/// by-name entry point); Network::SendLegacy resolves the names and copies
-/// the payload onto the pooled path, preserving delivery semantics exactly.
-struct LegacyMessage {
-  NodeId from;
-  NodeId to;
-  MsgKind kind = MsgKind::kOther;
-  std::string trace_tag;
-  std::string payload;
-  uint64_t txn = 0;
-};
-
 inline std::string_view MsgKindName(MsgKind kind) {
   switch (kind) {
     case MsgKind::kPdu:

@@ -167,22 +167,6 @@ Status Network::Send(Message msg) {
   return Status::OK();
 }
 
-Status Network::SendLegacy(LegacyMessage msg) {
-  Message out;
-  // By-name resolution costs the hash probes the seed path paid per send;
-  // unknown names map to kNoId and fail Send's validation as before.
-  out.from = Find(msg.from);
-  out.to = Find(msg.to);
-  out.kind = msg.kind;
-  out.txn = msg.txn;
-  if (!msg.trace_tag.empty()) out.trace_tag = msg.trace_tag;
-  if (!msg.payload.empty()) {
-    out.payload = AcquirePayload();
-    PayloadBuffer(out.payload).assign(msg.payload);
-  }
-  return Send(std::move(out));
-}
-
 void Network::Deliver(uint32_t slab_index, uint32_t from, uint32_t to) {
   // Move the message out and recycle the slot first: the OnMessage upcall
   // may Send (and so re-acquire slab slots) reentrantly. The payload buffer

@@ -97,12 +97,6 @@ class Network : public Transport {
   /// message reaches its terminal state. Callers never release it.
   Status Send(Message msg) override;
 
-  /// String-path compatibility entry taking the seed message shape:
-  /// resolves the names, copies payload and tag into pooled storage, and
-  /// forwards to Send. Benches measure this as the pre-interning baseline;
-  /// tests use it to inject traffic by name.
-  Status SendLegacy(LegacyMessage msg) override;
-
   /// Latency the next message from `a` to `b` would experience.
   sim::Time LatencyBetween(const NodeId& a, const NodeId& b) const override;
 

@@ -93,9 +93,6 @@ class Transport {
   /// msg.payload on every path.
   virtual Status Send(Message msg) = 0;
 
-  /// String-path compatibility entry taking the seed message shape.
-  virtual Status SendLegacy(LegacyMessage msg) = 0;
-
   /// Latency the next message from `a` to `b` would experience (an estimate
   /// on live backends, where the scheduler decides).
   virtual sim::Time LatencyBetween(const NodeId& a, const NodeId& b) const = 0;

@@ -120,20 +120,6 @@ Status LiveTransport::Send(net::Message msg) {
   return Status::OK();
 }
 
-Status LiveTransport::SendLegacy(net::LegacyMessage msg) {
-  net::Message out;
-  out.from = IdOf(msg.from);
-  out.to = IdOf(msg.to);
-  out.kind = msg.kind;
-  out.txn = msg.txn;
-  if (!msg.trace_tag.empty()) out.trace_tag = msg.trace_tag;
-  if (!msg.payload.empty()) {
-    out.payload = AcquirePayload();
-    PayloadBuffer(out.payload).assign(msg.payload);
-  }
-  return Send(std::move(out));
-}
-
 void LiveTransport::Deliver(uint32_t slab_index) {
   net::Message msg;
   net::Endpoint* endpoint;

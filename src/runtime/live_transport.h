@@ -62,7 +62,6 @@ class LiveTransport final : public net::Transport {
   std::string_view PayloadView(net::PayloadRef ref) const override;
 
   Status Send(net::Message msg) override;
-  Status SendLegacy(net::LegacyMessage msg) override;
 
   sim::Time LatencyBetween(const net::NodeId& a,
                            const net::NodeId& b) const override {

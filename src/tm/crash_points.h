@@ -27,6 +27,9 @@
 #define TPC_TM_CRASH_POINTS_H_
 
 #include <cstddef>
+#include <string_view>
+
+#include "wal/wal_crash_points.h"
 
 namespace tpc::tm {
 
@@ -41,12 +44,12 @@ namespace tpc::tm {
   X(kRootAfterPrepareSend, "root.after_prepare_send")                   \
   X(kCascAfterPrepareSend, "casc.after_prepare_send")                   \
   /* last-agent initiator: the deferred vote that delegates the
-     decision (legacy alias: after_prepared_force) */                   \
+     decision */                                                        \
   X(kRootBeforeLaVoteForce, "root.before_la_vote_force")                \
   X(kRootAfterLaVoteForce, "root.after_la_vote_force")                  \
   X(kRootAfterLaVoteSend, "root.after_la_vote_send")                    \
   X(kRootAfterLaRoVoteSend, "root.after_la_ro_vote_send")               \
-  /* commit decision record (legacy alias: after_commit_force) */       \
+  /* commit decision record */                                          \
   X(kRootBeforeCommitForce, "root.before_commit_force")                 \
   X(kRootAfterCommitForce, "root.after_commit_force")                   \
   X(kCascBeforeCommitForce, "casc.before_commit_force")                 \
@@ -84,8 +87,7 @@ namespace tpc::tm {
   /* subordinate: PN join record on first PREPARE */                    \
   X(kSubBeforeJoinWrite, "sub.before_join_write")                       \
   X(kSubAfterJoinWrite, "sub.after_join_write")                         \
-  /* subordinate: prepared force + vote (legacy alias:
-     after_prepared_force) */                                           \
+  /* subordinate: prepared force + vote */                              \
   X(kCascBeforePreparedForce, "casc.before_prepared_force")             \
   X(kCascAfterPreparedForce, "casc.after_prepared_force")               \
   X(kSubBeforePreparedForce, "sub.before_prepared_force")               \
@@ -124,10 +126,8 @@ namespace tpc::tm {
   X(kRootAfterVoteAcceptForce, "root.after_vote_accept_force")          \
   X(kSubBeforeVoteAcceptForce, "sub.before_vote_accept_force")          \
   X(kSubAfterVoteAcceptForce, "sub.after_vote_accept_force")            \
-  /* paxos commit: acceptor durability + replies */                     \
+  /* paxos commit: acceptor promise (1b) replies */                     \
   X(kAcceptorBeforeAcceptForce, "acceptor.before_accept_force")         \
-  X(kAcceptorAfterAcceptForce, "acceptor.after_accept_force")           \
-  X(kAcceptorAfterAcceptedSend, "acceptor.after_accepted_send")         \
   X(kAcceptorAfterPromiseSend, "acceptor.after_promise_send")           \
   /* paxos commit: bundled acceptor replies (one force covers every
      instance of the transaction; one 2b bundle per leader) */          \
@@ -169,6 +169,21 @@ inline constexpr const char* kRmCrashPoints[] = {
 };
 inline constexpr size_t kRmCrashPointCount =
     sizeof(kRmCrashPoints) / sizeof(kRmCrashPoints[0]);
+
+/// Whether `point` is in one of the catalogs: kCrashPointNames,
+/// kRmCrashPoints, or wal::kWalCrashPoints. The failure injector arms any
+/// string, so names that enter from outside the program (repro lines,
+/// scenario scripts) are checked here — a misspelt point would otherwise
+/// never fire and run a fault-free cell that passes.
+inline bool IsCrashPointName(std::string_view point) {
+  for (const char* name : kCrashPointNames)
+    if (point == name) return true;
+  for (const char* name : kRmCrashPoints)
+    if (point == name) return true;
+  for (const char* name : wal::kWalCrashPoints)
+    if (point == name) return true;
+  return false;
+}
 
 }  // namespace tpc::tm
 

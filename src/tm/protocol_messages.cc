@@ -17,7 +17,6 @@ std::string_view PduTypeToString(PduType type) {
     case PduType::kInquiry: return "INQUIRY";
     case PduType::kInquiryReply: return "INQUIRY_REPLY";
     case PduType::kPaxosAccept: return "PX_ACCEPT";
-    case PduType::kPaxosAccepted: return "PX_ACCEPTED";
     case PduType::kPaxosQuery: return "PX_QUERY";
     case PduType::kPaxosPromise: return "PX_PROMISE";
     case PduType::kPaxosTakeover: return "PX_TAKEOVER";

@@ -11,7 +11,8 @@
 // bundles in place with no patching, and PduCursor walks a received payload
 // without materializing a vector. The hot path is writer/cursor straight
 // against the network's pooled payload buffers; EncodePdus/DecodePdus remain
-// as the vector-based compatibility and fuzzing surface over the same bytes.
+// as the vector-based reference codec over the same bytes, which the codec
+// and fuzz tests check the writer and cursor against.
 
 #ifndef TPC_TM_PROTOCOL_MESSAGES_H_
 #define TPC_TM_PROTOCOL_MESSAGES_H_
@@ -40,15 +41,15 @@ enum class PduType : uint8_t {
 
   // Paxos Commit (Gray & Lamport). Each carries a PaxosBody in the frame's
   // data field; the frame layout itself is unchanged.
-  kPaxosAccept,    ///< 2a: proposer -> acceptor (ballot-0 vote or takeover)
-  kPaxosAccepted,  ///< 2b: acceptor -> leader
+  kPaxosAccept,    ///< 2a: participant -> acceptor, its ballot-0 vote
   kPaxosQuery,     ///< 1a: takeover leader -> acceptor (promise request)
   kPaxosPromise,   ///< 1b: acceptor -> takeover leader (grant or nack)
   kPaxosTakeover,  ///< stuck participant asks a candidate to lead
 
   // Bundled paxos traffic (the paper's cost optimization): all of one
   // transaction's instances ride in a single PDU whose data field holds the
-  // repeated-instance bundle encoding (EncodePaxosBundle).
+  // repeated-instance bundle encoding (EncodePaxosBundle). Every 2b, and
+  // every 2a at a takeover ballot, travels this way.
   kPaxosAcceptBundle,    ///< 2a bundle: takeover leader -> acceptor
   kPaxosAcceptedBundle,  ///< 2b bundle: acceptor -> leader, all instances
   kPaxosEnd,  ///< leader -> acceptor after full resolution: reclaim state
@@ -71,7 +72,6 @@ struct PaxosAccepted {
 /// union like Pdu: only the fields relevant to the PDU type are meaningful.
 ///
 ///   kPaxosAccept:   ballot, instance, prepared, leader, cohort, acceptors
-///   kPaxosAccepted: ballot, instance, prepared
 ///   kPaxosQuery:    ballot
 ///   kPaxosPromise:  ballot, granted, promised (nack), accepted, cohort,
 ///                   acceptors, leader (ballot-0 leader, if known)
@@ -230,14 +230,14 @@ class PduCursor {
   size_t count_ = 0;
 };
 
-/// Encodes a bundle of PDUs into one network-message payload
-/// (compatibility surface; the hot path appends via PduWriter).
+/// Encodes a bundle of PDUs into one network-message payload (reference
+/// codec for tests; the send path appends via PduWriter).
 std::string EncodePdus(const std::vector<Pdu>& pdus);
 
-/// Decodes a network-message payload into owned PDUs (compatibility and
-/// fuzzing surface over the same frames PduCursor walks). An empty payload
-/// and a payload with any malformed frame are errors; a decoded kAppData
-/// PDU carries its bytes in Pdu::data.
+/// Decodes a network-message payload into owned PDUs (reference codec for
+/// the codec and fuzz tests, over the same frames PduCursor walks). An
+/// empty payload and a payload with any malformed frame are errors; a
+/// decoded kAppData PDU carries its bytes in Pdu::data.
 Result<std::vector<Pdu>> DecodePdus(std::string_view payload);
 
 /// Human-readable tag for traces: "PREPARE" or "ACK+APP_DATA".

@@ -107,8 +107,6 @@ void TransactionManager::Init() {
   fi_node_ = failures.InternNode(name_);
   for (size_t i = 0; i < kCrashPointCount; ++i)
     fi_points_[i] = failures.InternPoint(kCrashPointNames[i]);
-  fi_legacy_prepared_ = failures.InternPoint("after_prepared_force");
-  fi_legacy_commit_ = failures.InternPoint("after_commit_force");
 }
 
 void TransactionManager::AttachRm(rm::KVResourceManager* rm) {
@@ -233,29 +231,6 @@ void TransactionManager::SendPdu(const net::NodeId& peer, Pdu pdu,
   // data ride for free (the packet exists anyway) — this matches how the
   // paper credits the long-locks and implied-ack savings.
   if (protocol_flow) ++MetaSlot(primary_txn).cost.flows_sent;
-
-  if (config_.legacy_string_messaging) {
-    // Frozen seed path, kept as the commit_bench baseline: PDU vector,
-    // EncodePdus temporary, by-name message. Same bytes on the wire.
-    std::vector<Pdu> pdus;
-    if (!session.outbox.empty()) {
-      pdus = std::move(session.outbox);
-      session.outbox.clear();
-    }
-    pdus.push_back(std::move(pdu));
-    // The seed path owns every byte it ships: app data lands in Pdu::data
-    // before encoding, exactly as the pre-pooling SendWork materialized it.
-    if (!app_data.empty()) pdus.back().data.assign(app_data);
-    net::LegacyMessage msg;
-    msg.from = name_;
-    msg.to = peer;
-    msg.kind = net::MsgKind::kPdu;
-    if (network_->tracing()) msg.trace_tag = DescribePdus(pdus);
-    msg.txn = primary_txn;
-    msg.payload = EncodePdus(pdus);
-    TPC_CHECK_OK(network_->SendLegacy(std::move(msg)));
-    return;
-  }
 
   net::Message msg;
   msg.from = self_id_;
@@ -772,9 +747,7 @@ void TransactionManager::MaybePhaseOneComplete(Txn& txn) {
       if (!c.is_last_agent) body.children.push_back(c.peer);
     AppendTmRecord(txn.id, wal::RecordType::kTmPrepared, /*force=*/true,
                    EncodeBody(body), [this, send_vote_to_last_agent] {
-      if (CrashHereOrLegacy(CrashPt::kRootAfterLaVoteForce,
-                            fi_legacy_prepared_))
-        return;
+      if (CrashHere(CrashPt::kRootAfterLaVoteForce)) return;
       send_vote_to_last_agent(rm::Vote::kYes);
     });
     return;
@@ -844,7 +817,7 @@ void TransactionManager::DecideAndPropagate(Txn& txn, bool commit) {
     AppendTmRecord(id, wal::RecordType::kTmCommitted,
                    /*force=*/!ForceDowngraded(), EncodeBody(body),
                    [this, id, after] {
-      if (CrashHereOrLegacy(after, fi_legacy_commit_)) return;
+      if (CrashHere(after)) return;
       Txn* t = FindTxn(id);
       if (t == nullptr) return;
       SendDecision(*t, /*commit=*/true);
@@ -1348,9 +1321,7 @@ void TransactionManager::SendVote(Txn& txn) {
     AppendTmRecord(id, wal::RecordType::kTmPrepared,
                    /*force=*/!ForceDowngraded(), EncodeBody(body),
                    [this, id, self_accepted] {
-      if (CrashHereOrLegacy(CrashPt::kSubAfterPreparedForce,
-                            fi_legacy_prepared_))
-        return;
+      if (CrashHere(CrashPt::kSubAfterPreparedForce)) return;
       if (self_accepted && CrashHere(CrashPt::kSubAfterVoteAcceptForce))
         return;
       Txn* t = FindTxn(id);
@@ -1448,7 +1419,7 @@ void TransactionManager::SendVote(Txn& txn) {
   AppendTmRecord(id, wal::RecordType::kTmPrepared,
                  /*force=*/!ForceDowngraded(), EncodeBody(body),
                  [this, after_force, send_yes] {
-    if (CrashHereOrLegacy(after_force, fi_legacy_prepared_)) return;
+    if (CrashHere(after_force)) return;
     send_yes();
   });
 }
@@ -1617,7 +1588,7 @@ void TransactionManager::ApplyDecision(Txn& txn, bool commit) {
                                  CrashPt::kSubAfterCommitForce);
     AppendTmRecord(id, wal::RecordType::kTmCommitted, force_commit,
                    EncodeBody(body), [this, id, after] {
-      if (CrashHereOrLegacy(after, fi_legacy_commit_)) return;
+      if (CrashHere(after)) return;
       Txn* t = FindTxn(id);
       if (t == nullptr) return;
       SendDecision(*t, /*commit=*/true);
@@ -2121,10 +2092,10 @@ void TransactionManager::SendPaxosVote(Txn& txn, bool prepared,
   if (!IsAcceptor()) return;
   if (!self_accepted) {
     // The combined-force fold did not happen (a takeover outbid ballot 0
-    // before we voted): run the classic accept path, which rechecks the
-    // ballot and forces before any reply. May complete synchronously.
-    AcceptorOnAccept(body.leader, id, name_, 0, prepared, body.cohort,
-                     body.leader);
+    // before we voted): run the wire accept path, which rechecks the
+    // promise and forces before any remote reply. May complete
+    // synchronously.
+    AcceptorOnAccept(body.leader, id, name_, prepared, body.cohort);
     return;
   }
   // Our acceptance already rode the prepared force; reply (bundled) once
@@ -2314,44 +2285,17 @@ void TransactionManager::DecidePaxos(Txn& txn, bool commit) {
 
 void TransactionManager::AcceptorOnAccept(
     const net::NodeId& leader, uint64_t id, const net::NodeId& instance,
-    uint64_t ballot, bool prepared, const std::vector<std::string>& cohort,
-    const net::NodeId& leader0) {
+    bool prepared, const std::vector<std::string>& cohort) {
   if (!IsAcceptor()) return;  // stray traffic
-  if (!acceptor_.Accept(id, instance, ballot, prepared, cohort, leader0))
+  if (!acceptor_.Accept(id, instance, /*ballot=*/0, prepared, cohort, leader))
     return;  // promised a higher ballot: the proposer is stale
-  if (ballot == 0) {
-    // Ballot-0 votes arrive one per participant. Defer the reply until the
-    // whole cohort's instances are in, so the transaction costs this
-    // acceptor ONE covering force and ONE bundled 2b instead of one of
-    // each per instance (the paper's bundling optimization). Deferral is
-    // liveness-safe: the leader cannot decide without every instance
-    // anyway, and a lost vote is redriven by the takeover machinery.
-    AcceptorMaybeReply(leader, id);
-    return;
-  }
-  // A singleton 2a at a takeover ballot (wire compatibility; live takeover
-  // leaders now send bundles): classic immediate path — force, then the
-  // per-instance 2b.
-  if (CrashHere(CrashPt::kAcceptorBeforeAcceptForce)) return;
-  // The acceptor's word must survive its crash: force the snapshot before
-  // the 2b leaves. Last-record-wins on recovery.
-  std::string snap;
-  acceptor_.EncodeSnapshot(id, &snap);
-  AppendTmRecord(id, wal::RecordType::kTmAccept, /*force=*/true,
-                 std::move(snap),
-                 [this, id, leader, instance, ballot, prepared] {
-    if (CrashHere(CrashPt::kAcceptorAfterAcceptForce)) return;
-    if (leader == name_) {
-      LeaderOnAccepted(id, instance, ballot, prepared);
-      return;
-    }
-    PaxosBody reply;  // 2b
-    reply.ballot = ballot;
-    reply.prepared = prepared;
-    reply.instance = instance;
-    SendPaxosPdu(leader, PduType::kPaxosAccepted, id, reply);
-    CrashHere(CrashPt::kAcceptorAfterAcceptedSend);
-  });
+  // Ballot-0 votes arrive one per participant. Defer the reply until the
+  // whole cohort's instances are in, so the transaction costs this acceptor
+  // ONE covering force and ONE bundled 2b instead of one of each per
+  // instance (the paper's bundling optimization). Deferral is liveness-safe:
+  // the leader cannot decide without every instance anyway, and a lost vote
+  // is redriven by the takeover machinery.
+  AcceptorMaybeReply(leader, id);
 }
 
 void TransactionManager::AcceptorMaybeReply(const net::NodeId& fallback_leader,
@@ -2591,10 +2535,14 @@ void TransactionManager::OnPaxosAcceptPdu(const net::NodeId& from,
                                           const Pdu& pdu,
                                           std::string_view data) {
   if (!DecodePaxosBody(data, &paxos_in_).ok()) return;  // drop malformed
+  // A singleton 2a only ever carries a participant's ballot-0 vote: takeover
+  // leaders propose in kPaxosAcceptBundle. Drop anything else — an acceptor
+  // may ignore any message without endangering safety.
+  if (paxos_in_.ballot != 0) return;
   const net::NodeId& leader =
       paxos_in_.leader.empty() ? from : paxos_in_.leader;
-  AcceptorOnAccept(leader, pdu.txn, paxos_in_.instance, paxos_in_.ballot,
-                   paxos_in_.prepared, paxos_in_.cohort, leader);
+  AcceptorOnAccept(leader, pdu.txn, paxos_in_.instance, paxos_in_.prepared,
+                   paxos_in_.cohort);
 }
 
 void TransactionManager::OnPaxosAcceptBundlePdu(const net::NodeId& from,
@@ -2624,13 +2572,6 @@ void TransactionManager::OnPaxosEndPdu(const Pdu& pdu) {
   // The decision owner finished resolving everywhere: our acceptor state
   // for this transaction can never be read by a takeover again.
   AcceptorReclaim(pdu.txn);
-}
-
-void TransactionManager::OnPaxosAcceptedPdu(const Pdu& pdu,
-                                            std::string_view data) {
-  if (!DecodePaxosBody(data, &paxos_in_).ok()) return;
-  LeaderOnAccepted(pdu.txn, paxos_in_.instance, paxos_in_.ballot,
-                   paxos_in_.prepared);
 }
 
 void TransactionManager::OnPaxosQueryPdu(const net::NodeId& from,
@@ -2790,21 +2731,6 @@ void TransactionManager::OnMessage(const net::Message& msg) {
   const net::NodeId& from = network_->NameOf(msg.from);
   const std::string_view payload = network_->PayloadOf(msg);
 
-  if (config_.legacy_string_messaging) {
-    // Frozen seed receive path (commit_bench baseline): decode the payload
-    // into an owned PDU vector, re-allocating per delivery.
-    auto pdus = DecodePdus(payload);
-    if (!pdus.ok()) {
-      ctx_->trace().Add({rt_->Now(), sim::TraceKind::kApp, name_, from, 0,
-                         "dropped malformed message: " +
-                             std::string(pdus.status().message())});
-      return;
-    }
-    NoteImpliedAck(from);
-    for (const auto& pdu : *pdus) DispatchPdu(from, pdu, pdu.data);
-    return;
-  }
-
   // Validation pass: walk every frame before dispatching any, so a bundle
   // with a malformed tail is dropped whole — partial dispatch would create
   // protocol state (e.g. an in-doubt txn from a truncated Prepare bundle)
@@ -2861,9 +2787,6 @@ void TransactionManager::DispatchPdu(const net::NodeId& from, const Pdu& pdu,
       break;
     case PduType::kPaxosAccept:
       OnPaxosAcceptPdu(from, pdu, data);
-      break;
-    case PduType::kPaxosAccepted:
-      OnPaxosAcceptedPdu(pdu, data);
       break;
     case PduType::kPaxosQuery:
       OnPaxosQueryPdu(from, pdu, data);

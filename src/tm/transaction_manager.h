@@ -96,13 +96,6 @@ struct TmConfig {
   /// coordinator's Prepare — the "early prepare" that removes phase one).
   sim::Time early_prepare_delay = 10 * sim::kMillisecond;
 
-  // --- benchmarking baseline ----------------------------------------------
-  /// Route protocol traffic through the frozen seed string path (PDU vector
-  /// + EncodePdus temporary + by-name LegacyMessage + DecodePdus on receive)
-  /// instead of the pooled writer/cursor path. Protocol behavior and traces
-  /// are identical; bench/commit_bench measures what the pooled path saves.
-  bool legacy_string_messaging = false;
-
   // --- failure behavior ----------------------------------------------------
   HeuristicPolicy heuristic_policy = HeuristicPolicy::kNever;
   sim::Time heuristic_delay = 60 * sim::kSecond;
@@ -435,11 +428,6 @@ class TransactionManager : public net::Endpoint {
   bool CrashHere(CrashPt p) {
     return ctx_->failures().CrashPoint(fi_node_, PointId(p));
   }
-  /// Fires `p`, then the legacy alias armed by pre-campaign tests.
-  bool CrashHereOrLegacy(CrashPt p, uint32_t legacy_point) {
-    if (CrashHere(p)) return true;
-    return ctx_->failures().CrashPoint(fi_node_, legacy_point);
-  }
   uint32_t PointId(CrashPt p) const {
     return fi_points_[static_cast<size_t>(p)];
   }
@@ -558,10 +546,12 @@ class TransactionManager : public net::Endpoint {
   // leader. A reply delivered locally to ourself-as-leader rides without
   // its own force — the decision record's force is the externalization
   // barrier, so a crash loses the acceptance and its observation together.
+  /// Ballot-0 2a ingress (a participant's own vote; `leader` is the
+  /// ballot-0 leader): records the value, defers the reply to
+  /// AcceptorMaybeReply.
   void AcceptorOnAccept(const net::NodeId& leader, uint64_t id,
-                        const net::NodeId& instance, uint64_t ballot,
-                        bool prepared, const std::vector<std::string>& cohort,
-                        const net::NodeId& leader0);
+                        const net::NodeId& instance, bool prepared,
+                        const std::vector<std::string>& cohort);
   /// Bundled 2a ingress (one PDU, every instance): applies all accepts,
   /// forces ONE covering snapshot, replies with ONE bundled 2b.
   void AcceptorOnAcceptBundle(const net::NodeId& leader, uint64_t id,
@@ -595,7 +585,6 @@ class TransactionManager : public net::Endpoint {
 
   void OnPaxosAcceptPdu(const net::NodeId& from, const Pdu& pdu,
                         std::string_view data);
-  void OnPaxosAcceptedPdu(const Pdu& pdu, std::string_view data);
   void OnPaxosQueryPdu(const net::NodeId& from, const Pdu& pdu,
                        std::string_view data);
   void OnPaxosPromisePdu(const Pdu& pdu, std::string_view data);
@@ -625,8 +614,6 @@ class TransactionManager : public net::Endpoint {
   uint32_t self_id_;  ///< our interned network id, cached at construction
   uint32_t fi_node_;  ///< our interned failure-injector node id
   std::array<uint32_t, kCrashPointCount> fi_points_;  ///< interned point ids
-  uint32_t fi_legacy_prepared_;  ///< "after_prepared_force" alias
-  uint32_t fi_legacy_commit_;    ///< "after_commit_force" alias
   TmConfig config_;
   bool up_ = true;
   uint64_t epoch_ = 0;  ///< bumped on crash; stale timer closures no-op

@@ -164,27 +164,6 @@ TEST_F(NetworkTest, DroppedBytesCountedSentButNotDelivered) {
   EXPECT_EQ(network_.stats().bytes_delivered, 0u);
 }
 
-TEST_F(NetworkTest, LegacySendResolvesNamesAndCopiesPayload) {
-  LegacyMessage msg;
-  msg.from = "a";
-  msg.to = "b";
-  msg.trace_tag = "LEGACY";
-  msg.payload = "abcdef";
-  msg.txn = 7;
-  ASSERT_TRUE(network_.SendLegacy(std::move(msg)).ok());
-  ctx_.events().Run();
-  ASSERT_EQ(b_.received.size(), 1u);
-  EXPECT_EQ(b_.received[0].from, network_.IdOf("a"));
-  EXPECT_EQ(b_.received[0].tag, "LEGACY");
-  EXPECT_EQ(b_.received[0].payload, "abcdef");
-  EXPECT_EQ(network_.stats().bytes_sent, 6u);
-
-  LegacyMessage ghost;
-  ghost.from = "nobody";
-  ghost.to = "b";
-  EXPECT_TRUE(network_.SendLegacy(std::move(ghost)).IsInvalidArgument());
-}
-
 TEST_F(NetworkTest, TraceRecordsSendAndReceive) {
   ASSERT_TRUE(network_.Send(Make("a", "b")).ok());
   ctx_.events().Run();

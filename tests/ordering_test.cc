@@ -112,9 +112,10 @@ TEST(DoubleCrashTest, CrashDuringRecoveryStillConverges) {
   ASSERT_TRUE(c.tm("coord").SendWork(txn, "sub").ok());
   c.RunFor(sim::kSecond);
 
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   auto commit = c.StartCommit("coord", txn);
   c.RunFor(10 * sim::kSecond);
+  ASSERT_EQ(c.ctx().failures().node_epoch("coord"), 1);  // the crash fired
   // First recovery attempt; crash again mid-recovery, twice.
   for (int i = 0; i < 2; ++i) {
     c.node("coord").Restart();
@@ -151,9 +152,10 @@ TEST(DoubleCrashTest, BothSidesCrashRepeatedlyAndConverge) {
   // The coordinator crashes the instant its commit record is durable (the
   // Commit message never leaves); the in-doubt subordinate then crashes
   // too, twice, before anyone recovers fully.
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   auto commit = c.StartCommit("coord", txn);
   c.RunFor(10 * sim::kSecond);
+  ASSERT_EQ(c.ctx().failures().node_epoch("coord"), 1);  // the crash fired
   ASSERT_FALSE(c.tm("coord").IsUp());
   ASSERT_EQ(c.tm("sub").InDoubtCount(), 1u);
   c.ctx().failures().CrashNow("sub");

@@ -20,6 +20,7 @@
 #include "harness/cluster.h"
 #include "rm/kv_resource_manager.h"
 #include "tm/paxos_acceptor.h"
+#include "tm/protocol_messages.h"
 #include "tm/types.h"
 #include "wal/log_record.h"
 
@@ -468,6 +469,43 @@ TEST(PaxosCommitTest, LateAcceptorReplyAfterDecisionIsDropped) {
   EXPECT_EQ(f.c.tm("c0").View(f.txn).outcome, tm::Outcome::kCommitted);
   EXPECT_EQ(f.c.tm("s1").View(f.txn).outcome, tm::Outcome::kCommitted);
   EXPECT_TRUE(f.c.Audit(f.txn).consistent);
+}
+
+// Takeover leaders propose in bundles (kPaxosAcceptBundle); a singleton 2a
+// only ever carries a participant's ballot-0 vote. One at a higher ballot
+// is dropped whole: no acceptor state, no snapshot write, no reply.
+TEST(PaxosCommitTest, SingletonAcceptAtTakeoverBallotIsDropped) {
+  PaxosCluster f;
+  constexpr uint64_t kTxn = 777;
+  tm::PaxosBody body;
+  body.ballot = 3;
+  body.instance = "s1";
+  body.prepared = true;
+  body.leader = "s1";
+  body.cohort = {"c0", "s1"};
+  body.acceptors = {"c0", "s1", "a2"};
+  tm::Pdu pdu;
+  pdu.type = tm::PduType::kPaxosAccept;
+  pdu.txn = kTxn;
+  tm::EncodePaxosBody(body, &pdu.data);
+
+  net::Network& net = f.c.network();
+  const uint64_t a2_sent = net.SentBy("a2");
+  const wal::LogWriteStats a2_log = f.c.node("a2").log().stats();
+  net::Message msg;
+  msg.from = net.IdOf("s1");
+  msg.to = net.IdOf("a2");
+  msg.kind = net::MsgKind::kPdu;
+  msg.txn = kTxn;
+  msg.payload = net.AcquirePayload();
+  net.PayloadBuffer(msg.payload) = tm::EncodePdus({pdu});
+  ASSERT_TRUE(net.Send(std::move(msg)).ok());
+  f.c.RunFor(10 * sim::kSecond);
+
+  EXPECT_EQ(f.c.tm("a2").acceptor().Find(kTxn), nullptr);
+  EXPECT_EQ(f.c.node("a2").log().stats().writes, a2_log.writes);
+  EXPECT_EQ(f.c.node("a2").log().stats().forced_writes, a2_log.forced_writes);
+  EXPECT_EQ(net.SentBy("a2"), a2_sent);
 }
 
 // Satellite (b): END-driven reclamation. A long closed loop of decided

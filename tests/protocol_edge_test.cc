@@ -61,9 +61,10 @@ TEST(IntermediateHeuristicTest, HeuristicAtMidPropagatesToItsSubtree) {
   ASSERT_TRUE(c.tm("root").SendWork(txn, "mid").ok());
   c.RunFor(sim::kSecond);
 
-  c.ctx().failures().ArmCrash("root", "after_commit_force");
+  c.ctx().failures().ArmCrash("root", "root.after_commit_force");
   auto commit = c.StartCommit("root", txn);
   c.RunFor(40 * sim::kSecond);  // mid's heuristic commit fires at +20s
+  ASSERT_EQ(c.ctx().failures().node_epoch("root"), 1);  // the crash fired
   // The leaf received mid's (heuristic) commit and is done; its data is in.
   EXPECT_EQ(c.tm("leaf").View(txn).outcome, Outcome::kCommitted);
   EXPECT_EQ(c.node("leaf").rm().Peek("leaf_key").value_or(""), "v");
@@ -317,9 +318,10 @@ TEST(LastAgentRecoveryTest, InitiatorCrashAfterVoteResolvesViaInquiry) {
   // restart the inquiry finds the LA undecided, and the vote... is gone.
   // The LA's own vote-side state never formed, so the inquiry gets the
   // presumed-abort answer once the LA has no transaction).
-  c.ctx().failures().ArmCrash("coord", "after_prepared_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_la_vote_force");
   auto commit = c.StartCommit("coord", txn);
   c.RunFor(2 * sim::kSecond);
+  ASSERT_EQ(c.ctx().failures().node_epoch("coord"), 1);  // the crash fired
   EXPECT_FALSE(commit->completed);
   c.node("coord").Restart();
   c.RunFor(120 * sim::kSecond);

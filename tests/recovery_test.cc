@@ -52,7 +52,7 @@ TEST(RecoveryTest, PaSubordinateCrashInDoubtRecoversCommitViaInquiry) {
 
   // The subordinate crashes right after its prepared record is durable
   // (its YES vote is never sent).
-  c.ctx().failures().ArmCrash("sub", "after_prepared_force");
+  c.ctx().failures().ArmCrash("sub", "sub.after_prepared_force");
   bool completed = false;
   tm::CommitResult result;
   c.tm("coord").Commit(txn, [&](tm::CommitResult r) {
@@ -60,6 +60,7 @@ TEST(RecoveryTest, PaSubordinateCrashInDoubtRecoversCommitViaInquiry) {
     result = r;
   });
   c.RunFor(5 * sim::kSecond);
+  ASSERT_EQ(c.ctx().failures().node_epoch("sub"), 1);  // the crash fired
   EXPECT_FALSE(completed);  // coordinator is waiting for the vote
 
   // The subordinate restarts; its recovery inquiry finds a coordinator
@@ -179,10 +180,11 @@ TEST(RecoveryTest, PaCoordinatorCrashAfterCommitForceResendsOnRestart) {
   c.Connect("coord", "sub");
   uint64_t txn = SetupTwoNodeWork(c);
 
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   bool completed = false;
   c.tm("coord").Commit(txn, [&](tm::CommitResult) { completed = true; });
   c.RunFor(5 * sim::kSecond);
+  ASSERT_EQ(c.ctx().failures().node_epoch("coord"), 1);  // the crash fired
   EXPECT_FALSE(completed);  // crashed mid-commit; app callback lost
   EXPECT_EQ(c.tm("sub").InDoubtCount(), 1u);
 
@@ -292,12 +294,13 @@ HeuristicRun RunHeuristicScenario(ProtocolKind protocol,
 
   // Coordinator crashes right after forcing the commit record: the
   // subordinate is in doubt and the decision is not coming.
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   c.tm("coord").Commit(run.txn, [&run](tm::CommitResult r) {
     run.completed = true;
     run.result = r;
   });
   c.RunFor(30 * sim::kSecond);  // heuristic fires at +20s
+  EXPECT_EQ(c.ctx().failures().node_epoch("coord"), 1);  // the crash fired
 
   // Coordinator restarts and re-drives the commit; the subordinate
   // compares it with its heuristic decision.
@@ -350,9 +353,10 @@ TEST(HeuristicTest, HeuristicLocksAreReleased) {
   c.Connect("coord", "sub");
   uint64_t txn = SetupTwoNodeWork(c);
 
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   c.tm("coord").Commit(txn, [](tm::CommitResult) {});
   c.RunFor(10 * sim::kSecond);
+  ASSERT_EQ(c.ctx().failures().node_epoch("coord"), 1);  // the crash fired
 
   // Before the heuristic fires, the lock is held.
   bool granted = false;

@@ -13,6 +13,21 @@ namespace {
 using harness::Cluster;
 using harness::NodeOptions;
 
+// Sends raw bytes from `from` to `to` through the same pooled-payload path
+// the transaction managers use.
+Status Inject(Cluster& c, const std::string& from, const std::string& to,
+              std::string_view tag, std::string_view bytes) {
+  net::Message msg;
+  msg.from = c.network().IdOf(from);
+  msg.to = c.network().IdOf(to);
+  msg.trace_tag = tag;
+  if (!bytes.empty()) {
+    msg.payload = c.network().AcquirePayload();
+    c.network().PayloadBuffer(msg.payload).assign(bytes);
+  }
+  return c.network().Send(std::move(msg));
+}
+
 TEST(RobustnessTest, MalformedMessagesAreDroppedNotFatal) {
   Cluster c;
   c.AddNode("a", {});
@@ -26,14 +41,11 @@ TEST(RobustnessTest, MalformedMessagesAreDroppedNotFatal) {
   Random rng(1234);
   // Blast garbage at both nodes, interleaved with a real transaction.
   auto blast = [&](const std::string& from, const std::string& to) {
-    net::LegacyMessage msg;
-    msg.from = from;
-    msg.to = to;
-    msg.trace_tag = "GARBAGE";
+    std::string bytes;
     size_t len = rng.Uniform(64);
     for (size_t i = 0; i < len; ++i)
-      msg.payload.push_back(static_cast<char>(rng.Uniform(256)));
-    ASSERT_TRUE(c.network().SendLegacy(std::move(msg)).ok());
+      bytes.push_back(static_cast<char>(rng.Uniform(256)));
+    ASSERT_TRUE(Inject(c, from, to, "GARBAGE", bytes).ok());
   };
   for (int i = 0; i < 50; ++i) {
     blast("a", "b");
@@ -65,12 +77,9 @@ TEST(RobustnessTest, TruncatedProtocolMessageIsDropped) {
   pdu.type = tm::PduType::kPrepare;
   pdu.txn = 42;
   std::string payload = tm::EncodePdus({pdu});
-  net::LegacyMessage msg;
-  msg.from = "a";
-  msg.to = "b";
-  msg.trace_tag = "TRUNCATED";
-  msg.payload = payload.substr(0, payload.size() / 2);
-  ASSERT_TRUE(c.network().SendLegacy(std::move(msg)).ok());
+  ASSERT_TRUE(Inject(c, "a", "b", "TRUNCATED",
+                     payload.substr(0, payload.size() / 2))
+                  .ok());
   c.RunFor(sim::kSecond);
   // b neither crashed nor created transaction state.
   EXPECT_TRUE(c.tm("b").IsUp());

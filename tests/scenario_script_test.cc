@@ -89,16 +89,32 @@ begin t1 coord
 write coord t1 k v
 work t1 coord sub
 run 1s
-crash-at sub after_prepared_force
+crash-at sub sub.after_prepared_force
 commit t1 coord
 run 30s
-restart sub
+restart sub  # fails unless the crash fired
 run 120s
 expect t1 aborted
 expect-key sub sub_key absent
 )");
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->expect_failed, 0) << report->output;
+}
+
+TEST(ScenarioScriptTest, CrashAtRejectsUncataloguedPoint) {
+  // A role-less or misspelt name would never fire: the script would run
+  // fault-free and its crash expectations would test nothing.
+  auto report = RunScript(R"(
+node coord
+node sub
+connect coord sub
+crash-at sub after_prepared_force
+)");
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsInvalidArgument());
+  EXPECT_NE(report.status().ToString().find("after_prepared_force"),
+            std::string::npos)
+      << report.status().ToString();
 }
 
 TEST(ScenarioScriptTest, DiagramAndCostsProduceOutput) {

@@ -30,6 +30,7 @@
 #include "harness/torture.h"
 #include "lock/lock_manager.h"
 #include "sim/trace.h"
+#include "tm/crash_points.h"
 
 namespace tpc::harness {
 namespace {
@@ -460,6 +461,35 @@ TEST(TortureRepro, RejectsMalformedLines) {
   EXPECT_FALSE(ParseRepro("scenario=pa_pair bogus", &cfg));
   EXPECT_FALSE(ParseRepro("scenario=pa_pair crash=no_at_sign", &cfg));
   EXPECT_FALSE(ParseRepro("scenario=pa_pair unknown=1", &cfg));
+  // Uncatalogued points: a role-less name, a typo, an empty name.
+  EXPECT_FALSE(
+      ParseRepro("scenario=pa_pair crash=s1@after_commit_force", &cfg));
+  EXPECT_FALSE(ParseRepro("scenario=pa_pair crash=s1@sub.after_comit_force",
+                          &cfg));
+  EXPECT_FALSE(ParseRepro("scenario=pa_pair crash=s1@", &cfg));
+  EXPECT_FALSE(ParseRepro(
+      "scenario=pa_pair crash=s1@sub.after_prepared_force "
+      "crash2=after_prepared_force",
+      &cfg));
+}
+
+TEST(TortureRepro, EveryCatalogedPointRoundTrips) {
+  std::vector<std::string> points(tm::kCrashPointNames,
+                                  tm::kCrashPointNames + tm::kCrashPointCount);
+  points.insert(points.end(), tm::kRmCrashPoints,
+                tm::kRmCrashPoints + tm::kRmCrashPointCount);
+  points.insert(points.end(), wal::kWalCrashPoints,
+                wal::kWalCrashPoints + wal::kWalCrashPointCount);
+  for (const std::string& point : points) {
+    TortureConfig cfg;
+    cfg.crash_node = "s1";
+    cfg.crash_point = point;
+    cfg.crash2_point = point;
+    TortureConfig parsed;
+    ASSERT_TRUE(ParseRepro(cfg.Repro(), &parsed)) << cfg.Repro();
+    EXPECT_EQ(parsed.crash_point, point);
+    EXPECT_EQ(parsed.crash2_point, point);
+  }
 }
 
 TEST(TortureRepro, EnvReplay) {

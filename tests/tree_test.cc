@@ -124,12 +124,13 @@ DamageRun RunDamageScenario(ProtocolKind protocol) {
   // Mid crashes right after forcing its commit record: the leaf is in
   // doubt, takes its heuristic abort at +20s, and the overall transaction
   // commits when mid recovers and re-drives.
-  c.ctx().failures().ArmCrash("mid", "after_commit_force");
+  c.ctx().failures().ArmCrash("mid", "casc.after_commit_force");
   c.tm("root").Commit(run.txn, [&run](tm::CommitResult r) {
     run.completed = true;
     run.result = r;
   });
   c.RunFor(40 * sim::kSecond);
+  EXPECT_EQ(c.ctx().failures().node_epoch("mid"), 1);  // the crash fired
   c.node("mid").Restart();
   c.RunFor(200 * sim::kSecond);
   return run;
@@ -226,7 +227,7 @@ TEST(WaitForOutcomeTest, NonBlockingCommitReturnsPendingAndResolvesLater) {
   c.RunFor(sim::kSecond);
 
   // The sub crashes after committing (its ack never arrives).
-  c.ctx().failures().ArmCrash("sub", "after_commit_force");
+  c.ctx().failures().ArmCrash("sub", "sub.after_commit_force");
   bool completed = false;
   tm::CommitResult result;
   c.tm("root").Commit(txn, [&](tm::CommitResult r) {
@@ -235,6 +236,7 @@ TEST(WaitForOutcomeTest, NonBlockingCommitReturnsPendingAndResolvesLater) {
   });
   // One attempt + one retry at 2s each, then the app gets control back.
   c.RunFor(10 * sim::kSecond);
+  EXPECT_EQ(c.ctx().failures().node_epoch("sub"), 1);  // the crash fired
   ASSERT_TRUE(completed);
   EXPECT_EQ(result.outcome, Outcome::kCommitted);
   EXPECT_TRUE(result.outcome_pending);  // "recovery is in progress"
@@ -267,10 +269,11 @@ TEST(WaitForOutcomeTest, BlockingModeWaitsForRecovery) {
   ASSERT_TRUE(c.tm("root").SendWork(txn, "sub").ok());
   c.RunFor(sim::kSecond);
 
-  c.ctx().failures().ArmCrash("sub", "after_prepared_force");
+  c.ctx().failures().ArmCrash("sub", "sub.after_prepared_force");
   bool completed = false;
   c.tm("root").Commit(txn, [&](tm::CommitResult) { completed = true; });
   c.RunFor(60 * sim::kSecond);
+  EXPECT_EQ(c.ctx().failures().node_epoch("sub"), 1);  // the crash fired
   EXPECT_FALSE(completed);  // blocked awaiting the crashed subordinate
 
   c.node("sub").Restart();
