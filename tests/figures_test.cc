@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "harness/scenarios.h"
 
 namespace tpc {
 namespace {
 
 struct FigureExpectation {
-  int figure;
+  // Eight bytes wide so the struct has no padding: gtest prints the param's
+  // raw bytes into the test name, and padding bytes would make that name
+  // differ from run to run.
+  std::int64_t figure;
   const char* totals;  // the "--- totals:" line the scenario must print
 };
 
@@ -19,7 +24,8 @@ class FigureTest : public ::testing::TestWithParam<FigureExpectation> {};
 
 TEST_P(FigureTest, TotalsMatchThePaper) {
   const FigureExpectation& expected = GetParam();
-  std::string rendered = harness::RunFigureScenario(expected.figure);
+  std::string rendered =
+      harness::RunFigureScenario(static_cast<int>(expected.figure));
   EXPECT_NE(rendered.find(expected.totals), std::string::npos)
       << "figure " << expected.figure << " rendered:\n"
       << rendered;
