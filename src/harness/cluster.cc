@@ -57,41 +57,25 @@ void Node::Restart() { tm_->Restart(); }
 Status Node::Checkpoint(std::function<void()> done) {
   if (!owns_log())
     return Status::FailedPrecondition(name_ + " shares another node's log");
-  if (tm_->ActiveTxnCount() > 0)
-    return Status::FailedPrecondition(name_ + " has transactions in flight");
-  // Forced paxos accepts live only in the log: an acceptor can hold state
-  // for a transaction it does not itself run, and truncation would lose it.
-  if (tm_->AcceptorTxnCount() > 0)
-    return Status::FailedPrecondition(name_ + " holds live acceptor state");
-  for (auto& rm : rms_) {
-    if (rm->ActiveCount() > 0)
-      return Status::FailedPrecondition(rm->name() + " has live state");
-  }
-  // Snapshot every RM; when all snapshots are durable, truncate everything
-  // before the first one.
-  struct CheckpointState {
-    size_t outstanding;
-    wal::Lsn first_lsn = wal::kInvalidLsn;
-    std::function<void()> done;
-  };
-  auto state = std::make_shared<CheckpointState>();
-  state->outstanding = rms_.size();
-  state->done = std::move(done);
+  // Copy forward what recovery still needs from the durable prefix, then
+  // write the RM snapshots, whose force covers the copies. Records still
+  // buffered past the prefix stay where they are.
+  const wal::Lsn durable = log_->durable_lsn();
+  tm_->CopyForward();
   wal::LogManager* log = log_;
+  auto finish = [log, durable, done = std::move(done)] {
+    log->DiscardPrefix(durable);
+    if (done) done();
+  };
   if (rms_.empty()) {
-    log->DiscardPrefix(log->durable_lsn());
-    if (state->done) state->done();
+    log->ForceAll(std::move(finish));
     return Status::OK();
   }
+  auto outstanding = std::make_shared<size_t>(rms_.size());
   for (auto& rm : rms_) {
-    Status st = rm->Checkpoint([state, log](wal::Lsn lsn) {
-      if (lsn < state->first_lsn) state->first_lsn = lsn;
-      if (--state->outstanding == 0) {
-        log->DiscardPrefix(state->first_lsn);
-        if (state->done) state->done();
-      }
+    rm->Checkpoint([outstanding, finish] {
+      if (--*outstanding == 0) finish();
     });
-    TPC_CHECK_OK(st);  // preconditions verified above
   }
   return Status::OK();
 }

@@ -187,6 +187,9 @@ std::string TortureConfig::Repro() const {
   }
   StringAppendF(&out, " delay_ms=%lld",
                 static_cast<long long>(recovery_delay / sim::kMillisecond));
+  if (!ckpt_node.empty())
+    StringAppendF(&out, " ckpt=%s@%lld", ckpt_node.c_str(),
+                  static_cast<long long>(ckpt_delay / sim::kMicrosecond));
   if (loss_rate > 0.0) StringAppendF(&out, " loss=%.3f", loss_rate);
   if (flap) out += " flap=1";
   return out;
@@ -227,6 +230,12 @@ bool ParseRepro(const std::string& line, TortureConfig* out) {
     } else if (key == "delay_ms") {
       out->recovery_delay = strtoll(value.c_str(), nullptr, 10) *
                             sim::kMillisecond;
+    } else if (key == "ckpt") {
+      const size_t at = value.find('@');
+      if (at == std::string::npos || at == 0) return false;
+      out->ckpt_node = value.substr(0, at);
+      out->ckpt_delay = strtoll(value.c_str() + at + 1, nullptr, 10) *
+                        sim::kMicrosecond;
     } else if (key == "loss") {
       out->loss_rate = strtod(value.c_str(), nullptr);
     } else if (key == "flap") {
@@ -411,6 +420,40 @@ TortureResult RunTortureCell(const TortureConfig& config) {
   c.RunFor(sim::kSecond);
 
   Driver driver{c, nodes, config.recovery_delay, {}};
+  // The checkpoint polls each millisecond for live state, for up to a
+  // minute of simulated time.
+  const sim::Time ckpt_deadline = c.ctx().now() + 60 * sim::kSecond;
+  std::function<void()> checkpoint = [&] {
+    Node& node = c.node(config.ckpt_node);
+    bool live = false;
+    if (node.tm().IsUp()) {
+      live = node.tm().ActiveTxnCount() > 0 || node.tm().AcceptorTxnCount() > 0;
+      for (size_t i = 0; i < node.rm_count(); ++i)
+        live = live || node.rm(i).ActiveCount() > 0;
+    }
+    if (live) {
+      // Once the checkpoint is durable the node crashes, so its restart
+      // reads the truncated log while the transaction is still in flight.
+      const int epoch = failures.node_epoch(config.ckpt_node);
+      const Status st = node.Checkpoint([&, epoch] {
+        if (failures.node_epoch(config.ckpt_node) == epoch)
+          failures.CrashNow(config.ckpt_node);
+      });
+      result.checkpointed = st.ok();
+      if (!st.ok()) violation("checkpoint refused: " + st.ToString());
+    } else if (c.ctx().now() < ckpt_deadline) {
+      c.ctx().events().ScheduleAfter(sim::kMillisecond, checkpoint);
+    }
+  };
+  result.crashed_before_commit =
+      !config.crash_node.empty() && failures.node_epoch(config.crash_node) > 0;
+  if (!config.ckpt_node.empty()) {
+    if (config.ckpt_delay == 0) {
+      checkpoint();
+    } else {
+      c.ctx().events().ScheduleAfter(config.ckpt_delay, checkpoint);
+    }
+  }
   auto commit = c.StartCommit("c0", txn);
   if (spec->gc) {
     // Background local commits on every node, overlapping the audited
@@ -466,6 +509,9 @@ TortureResult RunTortureCell(const TortureConfig& config) {
     if (settle >= 0 && i >= settle + 10) break;
   }
 
+  if (!config.ckpt_node.empty() && !result.checkpointed)
+    violation("checkpoint never ran on live state");
+
   // Record what fired before the oracle's own crash/restart rounds.
   if (!config.crash_node.empty()) {
     const int epochs = failures.node_epoch(config.crash_node);
@@ -508,11 +554,13 @@ TortureResult RunTortureCell(const TortureConfig& config) {
     // "unknown" — no-record could equally mean committed-and-truncated — so
     // its subordinates block: the weakness the presumption protocols were
     // invented to remove.
+    auto coordinator = [spec](const std::string& n) {
+      return n == "c0" || (spec->topo == Topo::kChain && n == "m1");
+    };
     const bool crashed_coordinator =
-        config.crash_node == "c0" ||
-        (spec->topo == Topo::kChain && config.crash_node == "m1");
-    if (spec->protocol == ProtocolKind::kBasic2PC && crashed_coordinator &&
-        result.crash_fired) {
+        (coordinator(config.crash_node) && result.crash_fired) ||
+        (coordinator(config.ckpt_node) && result.checkpointed);
+    if (spec->protocol == ProtocolKind::kBasic2PC && crashed_coordinator) {
       result.blocked = true;
     } else {
       violation("participant left in doubt after full recovery");
@@ -545,6 +593,21 @@ TortureResult RunTortureCell(const TortureConfig& config) {
                  o == tm::Outcome::kHeuristicAborted) {
         if (value.ok())
           violation("node " + n + " recorded abort but kept " + key);
+      } else if (o == tm::Outcome::kUnknown &&
+                 spec->protocol != ProtocolKind::kOnePhaseLogless) {
+        // A writer that kept no record of the transaction must still hold
+        // the decision owner's outcome. Not yet under one_phase_logless:
+        // its subordinate logs no TM record, so a crash after its vote
+        // aborts its RM by presumption while the coordinator commits
+        // (ROADMAP, correctness item).
+        const tm::Outcome owner = c.tm("c0").View(txn).outcome;
+        if (owner == tm::Outcome::kCommitted &&
+            (!value.ok() || value.value() != "v"))
+          violation("node " + n + " forgot a committed transaction and lost " +
+                    key);
+        if (owner == tm::Outcome::kAborted && value.ok())
+          violation("node " + n + " forgot an aborted transaction and kept " +
+                    key);
       }
     }
     for (const std::string& n : nodes) {

@@ -56,6 +56,18 @@ struct TortureConfig {
   /// Crashed nodes restart this long after going down.
   sim::Time recovery_delay = 2 * sim::kSecond;
 
+  // --- checkpoint -----------------------------------------------------------
+  /// Node to checkpoint while the audited transaction is in flight (empty:
+  /// none). The checkpoint runs at the first moment, from `ckpt_delay`
+  /// after the commit starts, at which the node is up and holds live TM,
+  /// RM or acceptor state; delay 0 means just before Commit() is called.
+  /// Once the checkpoint is durable the node crashes (and restarts after
+  /// `recovery_delay`), so a restart reads the truncated log while the
+  /// transaction is in flight. A checkpoint that never finds live state
+  /// tests nothing, so the cell reports it as a violation.
+  std::string ckpt_node;
+  sim::Time ckpt_delay = 0;
+
   // --- network faults -------------------------------------------------------
   double loss_rate = 0.0;  ///< applied to every link, both directions
   bool flap = false;       ///< one scheduled outage of the root's first link
@@ -73,7 +85,8 @@ struct TortureConfig {
   /// round's durable-state snapshot.
   std::function<void(Cluster&, int round)> on_idempotency_round;
 
-  /// Single-line repro: `scenario=pa_pair seed=3 crash=s1@sub.x occ=1 ...`.
+  /// Single-line repro: `scenario=pa_pair seed=3 crash=s1@sub.x occ=1 ...`;
+  /// a checkpoint adds `ckpt=<node>@<delay_us>`.
   std::string Repro() const;
 };
 
@@ -97,6 +110,11 @@ struct TortureResult {
   bool crash_fired = false;
   /// The epoch-1 double-crash trigger fired.
   bool crash2_fired = false;
+  /// The armed crash fired before the audited commit started (a node that
+  /// recovers nothing from such a crash has no state left to checkpoint).
+  bool crashed_before_commit = false;
+  /// The configured checkpoint ran, on live state, and was accepted.
+  bool checkpointed = false;
   /// The decision owner's recorded outcome had committed effects.
   bool committed = false;
   /// Legitimate basic-2PC blocking was observed (documented weakness).

@@ -1,5 +1,6 @@
 #include "rm/kv_resource_manager.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -22,43 +23,21 @@ enum RmCrashIdx : size_t {
   kAfterAbortLog = 5,
 };
 
-std::string EncodeUpdateBody(const std::string& key, const std::string& old_value,
-                             bool had_old, const std::string& new_value) {
-  Encoder enc;
+void PutUpdate(Encoder& enc, std::string_view key, std::string_view old_value,
+               bool had_old, std::string_view new_value) {
   enc.PutString(key);
   enc.PutString(old_value);
   enc.PutBool(had_old);
   enc.PutString(new_value);
-  return enc.Release();
 }
 
-Status DecodeUpdateBody(std::string_view body, std::string_view* key,
-                        std::string_view* old_value, bool* had_old,
-                        std::string_view* new_value) {
-  Decoder dec(body);
+Status GetUpdate(Decoder& dec, std::string_view* key,
+                 std::string_view* old_value, bool* had_old,
+                 std::string_view* new_value) {
   TPC_RETURN_IF_ERROR(dec.GetStringView(key));
   TPC_RETURN_IF_ERROR(dec.GetStringView(old_value));
   TPC_RETURN_IF_ERROR(dec.GetBool(had_old));
-  TPC_RETURN_IF_ERROR(dec.GetStringView(new_value));
-  return Status::OK();
-}
-
-// Parses a checkpoint body (a store snapshot, written in key order) and,
-// when `store` is given, replaces its contents with the snapshot.
-Status LoadCheckpoint(std::string_view body,
-                      std::map<std::string, std::string, std::less<>>* store) {
-  if (store != nullptr) store->clear();
-  Decoder dec(body);
-  uint64_t n = 0;
-  TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view key, value;
-    TPC_RETURN_IF_ERROR(dec.GetStringView(&key));
-    TPC_RETURN_IF_ERROR(dec.GetStringView(&value));
-    // Keys arrive sorted, so each insert goes at the end.
-    if (store != nullptr) store->emplace_hint(store->end(), key, value);
-  }
-  return Status::OK();
+  return dec.GetStringView(new_value);
 }
 
 // The container resource for hierarchical (intent) locking. The name uses
@@ -193,12 +172,14 @@ void KVResourceManager::DoWrite(uint64_t txn, std::string_view key,
 }
 
 void KVResourceManager::LogUpdate(uint64_t txn, const Update& update) {
+  Encoder enc;
+  PutUpdate(enc, update.key, update.old_value, update.had_old,
+            update.new_value);
   wal::LogRecord rec;
   rec.type = wal::RecordType::kRmUpdate;
   rec.txn = txn;
   rec.owner = name_;
-  rec.body = EncodeUpdateBody(update.key, update.old_value, update.had_old,
-                              update.new_value);
+  rec.body = enc.Release();
   log_->Append(rec, /*force=*/false);
 }
 
@@ -251,6 +232,7 @@ void KVResourceManager::Commit(uint64_t txn, DoneCallback done) {
     // because the outcome was unknown; apply them now.
     for (const auto& u : it->second.updates) store_[u.key] = u.new_value;
   }
+  it->second.commit_logged = true;
   wal::LogRecord rec;
   rec.type = wal::RecordType::kRmCommitted;
   rec.txn = txn;
@@ -336,53 +318,74 @@ std::vector<uint64_t> KVResourceManager::Recover(
   std::vector<UpdateView> updates;  // log order
   std::vector<RecoveredTxn> txns;   // first-appearance (log) order
   FlatId64Map<uint32_t> txn_pos;    // txn id -> 1-based position in txns
+  auto txn_of = [&](uint64_t id) -> RecoveredTxn& {
+    uint32_t& pos = txn_pos.GetOrCreate(id);
+    if (pos == 0) {
+      txns.emplace_back().id = id;
+      pos = static_cast<uint32_t>(txns.size());
+    }
+    return txns[pos - 1];
+  };
+  auto add_update = [&updates](RecoveredTxn& t, Decoder& dec) {
+    UpdateView u;
+    TPC_CHECK_OK(GetUpdate(dec, &u.key, &u.old_value, &u.had_old,
+                           &u.new_value));
+    updates.push_back(u);
+    const auto at = static_cast<uint32_t>(updates.size());
+    if (t.last == 0) {
+      t.first = at;
+    } else {
+      updates[t.last - 1].next = at;
+    }
+    t.last = at;
+  };
 
-  // A checkpoint supersedes everything before it (checkpoints are only
-  // taken with no transactions in flight), so only the last one is loaded;
-  // earlier ones are still parsed, as every record is.
-  size_t last_checkpoint = records.size();
+  // The last checkpoint holds the store and every transaction still open
+  // when it was taken, so it supersedes everything before it — including
+  // the originals of what it carries, which survive when a crash falls
+  // between its force and the truncation. Replay starts there.
+  size_t first = 0;
   for (size_t i = records.size(); i-- > 0;) {
     if (records[i].type == wal::RecordType::kCheckpoint &&
         records[i].owner == name_) {
-      last_checkpoint = i;
+      first = i;
       break;
     }
   }
-  for (size_t i = 0; i < records.size(); ++i) {
+  for (size_t i = first; i < records.size(); ++i) {
     const wal::LogRecordView& rec = records[i];
     if (rec.owner != name_) continue;
-    if (rec.type == wal::RecordType::kCheckpoint) {
-      updates.clear();
-      txns.clear();
-      txn_pos.Clear();
-      TPC_CHECK_OK(
-          LoadCheckpoint(rec.body, i == last_checkpoint ? &store_ : nullptr));
-      continue;
-    }
-    uint32_t& pos = txn_pos.GetOrCreate(rec.txn);
-    if (pos == 0) {
-      txns.emplace_back().id = rec.txn;
-      pos = static_cast<uint32_t>(txns.size());
-    }
-    RecoveredTxn& t = txns[pos - 1];
+    Decoder dec(rec.body);
     switch (rec.type) {
-      case wal::RecordType::kRmUpdate: {
-        UpdateView u;
-        TPC_CHECK_OK(DecodeUpdateBody(rec.body, &u.key, &u.old_value,
-                                      &u.had_old, &u.new_value));
-        updates.push_back(u);
-        const auto at = static_cast<uint32_t>(updates.size());
-        if (t.last == 0) {
-          t.first = at;
-        } else {
-          updates[t.last - 1].next = at;
+      case wal::RecordType::kCheckpoint: {
+        // Only the last checkpoint is reached (replay starts at it).
+        store_.clear();
+        uint64_t n = 0;
+        TPC_CHECK_OK(dec.GetVarint(&n));
+        for (uint64_t k = 0; k < n; ++k) {
+          std::string_view key, value;
+          TPC_CHECK_OK(dec.GetStringView(&key));
+          TPC_CHECK_OK(dec.GetStringView(&value));
+          // Keys arrive sorted, so each insert goes at the end.
+          store_.emplace_hint(store_.end(), key, value);
         }
-        t.last = at;
+        TPC_CHECK_OK(dec.GetVarint(&n));
+        for (uint64_t k = 0; k < n; ++k) {
+          uint64_t id = 0, count = 0;
+          bool prepared = false;
+          TPC_CHECK_OK(dec.GetVarint(&id));
+          TPC_CHECK_OK(dec.GetBool(&prepared));
+          TPC_CHECK_OK(dec.GetVarint(&count));
+          RecoveredTxn& t = txn_of(id);
+          t.prepared = prepared;
+          for (uint64_t u = 0; u < count; ++u) add_update(t, dec);
+        }
         break;
       }
-      case wal::RecordType::kRmPrepared: t.prepared = true; break;
-      case wal::RecordType::kRmCommitted: t.committed = true; break;
-      case wal::RecordType::kRmAborted: t.aborted = true; break;
+      case wal::RecordType::kRmUpdate: add_update(txn_of(rec.txn), dec); break;
+      case wal::RecordType::kRmPrepared: txn_of(rec.txn).prepared = true; break;
+      case wal::RecordType::kRmCommitted: txn_of(rec.txn).committed = true; break;
+      case wal::RecordType::kRmAborted: txn_of(rec.txn).aborted = true; break;
       default: break;
     }
   }
@@ -449,29 +452,51 @@ void KVResourceManager::ResolveRecovered(uint64_t txn, bool commit) {
   locks_.ReleaseAll(txn);
 }
 
-Status KVResourceManager::Checkpoint(std::function<void(wal::Lsn)> done) {
-  if (!active_.empty())
-    return Status::FailedPrecondition(name_ + ": transactions in flight");
-  Encoder enc;
-  enc.PutVarint(store_.size());
+void KVResourceManager::Checkpoint(std::function<void()> done) {
+  // Open transactions: still active, committed record not yet appended.
+  // Sorted by id so the record is a function of the state alone.
+  std::vector<std::pair<uint64_t, const TxnState*>> open;
+  for (const auto& [id, state] : active_)
+    if (!state.commit_logged) open.emplace_back(id, &state);
+  std::sort(open.begin(), open.end());
+  // The store holds open transactions' writes in place (a recovered one's
+  // are not applied yet); the snapshot takes each key's value from before
+  // its open writer's first update.
+  std::unordered_map<std::string_view, const Update*> before;
+  for (const auto& [id, state] : open) {
+    if (state->recovered) continue;
+    for (const Update& u : state->updates) before.emplace(u.key, &u);
+  }
+  std::vector<std::pair<std::string_view, std::string_view>> image;
+  image.reserve(store_.size());
   for (const auto& [key, value] : store_) {
+    auto it = before.find(key);
+    if (it == before.end()) {
+      image.emplace_back(key, value);
+    } else if (it->second->had_old) {
+      image.emplace_back(key, it->second->old_value);
+    }
+  }
+  Encoder enc;
+  enc.PutVarint(image.size());
+  for (const auto& [key, value] : image) {
     enc.PutString(key);
     enc.PutString(value);
+  }
+  enc.PutVarint(open.size());
+  for (const auto& [id, state] : open) {
+    enc.PutVarint(id);
+    enc.PutBool(state->prepared);
+    enc.PutVarint(state->updates.size());
+    for (const Update& u : state->updates)
+      PutUpdate(enc, u.key, u.old_value, u.had_old, u.new_value);
   }
   wal::LogRecord rec;
   rec.type = wal::RecordType::kCheckpoint;
   rec.txn = 0;
   rec.owner = name_;
   rec.body = enc.Release();
-  auto lsn_holder = std::make_shared<wal::Lsn>(0);
-  wal::Lsn lsn = log_->Append(rec, /*force=*/true,
-                              [lsn_holder, done = std::move(done)] {
-    done(*lsn_holder);
-  });
-  // Forced-append completion is always asynchronous (device I/O), so the
-  // holder is filled before the callback can run.
-  *lsn_holder = lsn;
-  return Status::OK();
+  log_->Append(rec, /*force=*/true, std::move(done));
 }
 
 Result<std::string> KVResourceManager::Peek(std::string_view key) const {

@@ -120,14 +120,17 @@ class KVResourceManager : public ResourceManager {
     return store_;
   }
 
-  /// Writes a checkpoint record (a full store snapshot) to the log,
-  /// forced. Requires no active transactions (returns FailedPrecondition
-  /// otherwise). `done` receives the checkpoint record's LSN: records
-  /// before it are no longer needed to recover this RM.
-  Status Checkpoint(std::function<void(wal::Lsn)> done);
+  /// Writes a checkpoint record to the log, forced: the store as the
+  /// transactions closed so far left it, plus the updates and prepared flag
+  /// of every transaction still open. Recovery loads the last checkpoint and
+  /// replays only what follows it, so `done` (run once the record is
+  /// durable) marks every earlier record of this RM as no longer needed.
+  void Checkpoint(std::function<void()> done);
 
-  /// Number of transactions with live state (for checkpoint safety).
+  /// Number of transactions with live state.
   size_t ActiveCount() const { return active_.size(); }
+  /// True while `txn` has live state here (updates, or prepared state).
+  bool IsActive(uint64_t txn) const { return active_.count(txn) != 0; }
 
   /// Makes the next Prepare() vote NO (fault injection for abort paths).
   void FailNextPrepare() { fail_next_prepare_ = true; }
@@ -157,6 +160,9 @@ class KVResourceManager : public ResourceManager {
     /// Rebuilt by Recover(): updates are redo images not yet applied to the
     /// store, so Commit must apply them and Abort must not undo them.
     bool recovered = false;
+    /// The committed record is appended (its force may still be pending):
+    /// a checkpoint counts the transaction as closed.
+    bool commit_logged = false;
   };
 
   void DoWrite(uint64_t txn, std::string_view key, std::string value,

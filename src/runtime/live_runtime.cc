@@ -151,6 +151,18 @@ void LiveRuntime::Start() {
   for (int i = 0; i < options_.worker_threads; ++i)
     workers_.emplace_back([this] { WorkerLoop(); });
   ticker_ = std::thread([this] { TickLoop(); });
+  std::unique_lock<std::mutex> lock(ready_mu_);
+  started_cv_.wait(lock, [this] {
+    return threads_running_ == options_.worker_threads + 1;
+  });
+}
+
+void LiveRuntime::ThreadRunning() {
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    ++threads_running_;
+  }
+  started_cv_.notify_one();
 }
 
 void LiveRuntime::Stop() {
@@ -163,6 +175,7 @@ void LiveRuntime::Stop() {
   for (auto& w : workers_) w.join();
   workers_.clear();
   if (ticker_.joinable()) ticker_.join();
+  threads_running_ = 0;
   started_ = false;
 }
 
@@ -198,6 +211,7 @@ void LiveRuntime::Enqueue(LiveNodeRuntime* node) {
 }
 
 void LiveRuntime::WorkerLoop() {
+  ThreadRunning();
   std::deque<Task> batch;
   for (;;) {
     LiveNodeRuntime* node;
@@ -233,12 +247,13 @@ void LiveRuntime::WorkerLoop() {
 }
 
 void LiveRuntime::TickLoop() {
-  for (;;) {
+  for (bool first = true;; first = false) {
     {
       std::lock_guard<std::mutex> lock(ready_mu_);
       if (stopping_) return;
     }
     wheel_.Advance(NowUs());
+    if (first) ThreadRunning();
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.timer_tick_us));
   }

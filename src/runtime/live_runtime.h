@@ -145,6 +145,9 @@ class LiveRuntime {
   /// Creates a node (single-threaded setup phase, before Start).
   LiveNodeRuntime* AddNode(const std::string& name);
 
+  /// Starts the workers and the tick thread; returns once every one of
+  /// them is running, so the first timers armed after Start() are not late
+  /// by a thread start-up.
   void Start();
   /// Drains nothing: workers stop after their current batch; pending tasks
   /// stay queued. Call WaitIdle first for a clean quiesce.
@@ -174,6 +177,7 @@ class LiveRuntime {
 
   void WorkerLoop();
   void TickLoop();
+  void ThreadRunning();  ///< each thread reports in once (Start waits)
   void Enqueue(LiveNodeRuntime* node);  ///< node became ready
   bool IdleLocked() const {  ///< under ready_mu_
     return ready_.empty() && running_ == 0 && io_holds_ == 0;
@@ -187,6 +191,8 @@ class LiveRuntime {
   std::mutex ready_mu_;
   std::condition_variable ready_cv_;
   std::condition_variable idle_cv_;
+  std::condition_variable started_cv_;
+  int threads_running_ = 0;  ///< workers and tick thread past start-up
   std::deque<LiveNodeRuntime*> ready_;
   int running_ = 0;  ///< workers currently executing a node batch
   int io_holds_ = 0;  ///< IoBegin calls not yet matched by IoEnd

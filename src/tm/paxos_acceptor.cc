@@ -1,5 +1,7 @@
 #include "tm/paxos_acceptor.h"
 
+#include <algorithm>
+
 #include "util/binary_io.h"
 
 namespace tpc::tm {
@@ -58,6 +60,14 @@ bool PaxosAcceptor::HasAllInstances(uint64_t txn) const {
   for (const std::string& member : state->cohort)
     if (state->Find(member) == nullptr) return false;
   return true;
+}
+
+std::vector<uint64_t> PaxosAcceptor::Held() const {
+  std::vector<uint64_t> ids;
+  ids.reserve(txns_.size());
+  for (const auto& [id, state] : txns_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 uint64_t PaxosAcceptor::ApproxBytes() const {

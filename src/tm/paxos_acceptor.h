@@ -104,6 +104,8 @@ class PaxosAcceptor {
   void Clear() { txns_.clear(); }
 
   size_t txn_count() const { return txns_.size(); }
+  /// Ids of the transactions held, ascending.
+  std::vector<uint64_t> Held() const;
 
   /// Heap bytes held for live transactions (cluster memory budgets; the
   /// bounded-memory torture assertions watch this through the TM).

@@ -272,14 +272,19 @@ void TransactionManager::AppendTmRecord(uint64_t txn, wal::RecordType type,
   rec.txn = txn;
   rec.owner = name_ + ".tm";
   rec.body = std::move(body);
+  wal::Lsn lsn;
   if (!done) {
-    log_->Append(rec, force);
-    return;
+    lsn = log_->Append(rec, force);
+  } else {
+    const uint64_t epoch = epoch_;
+    lsn = log_->Append(rec, force, [this, epoch, done = std::move(done)] {
+      if (up_ && epoch == epoch_) done();
+    });
   }
-  const uint64_t epoch = epoch_;
-  log_->Append(rec, force, [this, epoch, done = std::move(done)] {
-    if (up_ && epoch == epoch_) done();
-  });
+  // Looked up again: a non-forced append runs `done` inline, which may
+  // add metas (and rehash) or append later records of this transaction.
+  wal::Lsn& last = MetaSlot(txn).last_lsn;
+  last = std::max(last, lsn);
 }
 
 // ---------------------------------------------------------------------------
@@ -2866,8 +2871,20 @@ void TransactionManager::RecoverFromLog() {
     bool end = false;
     bool heuristic = false;
     bool heur_commit = false;
-    std::string_view last_body;  // the most recent state-bearing record's
-    std::string_view upstream;   // its upstream, else a later heuristic's
+    /// Rank of the record last_body came from (see body_rank).
+    uint8_t body_rank = 0;
+    std::string_view last_body;  // the latest state-bearing record's
+    std::string_view upstream;   // its upstream, else a heuristic's
+  };
+  // A transaction writes its state-bearing records in this order, so the
+  // highest rank is the latest record, wherever a checkpoint's copy of an
+  // earlier one landed in the log (Node::Checkpoint).
+  auto body_rank = [](wal::RecordType type) -> uint8_t {
+    switch (type) {
+      case wal::RecordType::kTmCommitPending: return 1;
+      case wal::RecordType::kTmPrepared: return 2;
+      default: return 3;  // the decision
+    }
   };
   // Where a transaction's TM image and last acceptor snapshot sit (1-based
   // positions; 0 = none).
@@ -2922,6 +2939,9 @@ void TransactionManager::RecoverFromLog() {
     if (rec.type == wal::RecordType::kTmAborted && rec.body.empty()) continue;
     TmBodyHead head;
     TPC_CHECK_OK(ParseBody(rec.body, &head));
+    const uint8_t rank = body_rank(rec.type);
+    if (rank < img.body_rank) continue;
+    img.body_rank = rank;
     img.last_body = rec.body;
     img.upstream = head.upstream;
   }
@@ -3173,6 +3193,32 @@ TxnView TransactionManager::View(uint64_t id) const {
 TxnCost TransactionManager::CostOf(uint64_t txn) const {
   const TxnMeta* meta = FindMeta(txn);
   return meta == nullptr ? TxnCost{} : meta->cost;
+}
+
+void TransactionManager::CopyForward() {
+  const std::string owner = name_ + ".tm";
+  const wal::Lsn durable = log_->durable_lsn();
+  for (const wal::LogRecordView& rec : log_->RecoverViews()) {
+    // Acceptor snapshots are re-logged from the live state below.
+    if (rec.owner != owner || rec.type == wal::RecordType::kTmAccept) continue;
+    // A forgotten transaction whose END is still buffered keeps its head:
+    // an END alone would read as a commit.
+    const TxnMeta* meta = FindMeta(rec.txn);
+    bool live = Knows(rec.txn) || (meta != nullptr && meta->last_lsn >= durable);
+    for (auto* rm : rms_) live = live || rm->IsActive(rec.txn);
+    if (live) log_->AppendCopy(rec);
+  }
+  // The live state rather than the last snapshot in `durable`: a newer
+  // snapshot may still be buffered past the durable prefix, and a copy of
+  // an older one appended after it would win recovery's last-record-wins
+  // replay. The live state is never older than any snapshot appended.
+  std::string snap;
+  for (uint64_t id : acceptor_.Held()) {
+    snap.clear();
+    acceptor_.EncodeSnapshot(id, &snap);
+    log_->AppendCopy(
+        wal::LogRecordView{wal::RecordType::kTmAccept, id, owner, snap});
+  }
 }
 
 bool TransactionManager::Knows(uint64_t txn) const {

@@ -214,8 +214,17 @@ class TransactionManager : public net::Endpoint {
   /// Number of in-doubt transactions (blocked, for lock-time analysis).
   size_t InDoubtCount() const;
 
-  /// Number of transactions currently tracked (for checkpoint safety).
+  /// Number of transactions currently tracked.
   size_t ActiveTxnCount() const { return live_txns_; }
+
+  /// Checkpoint support (Node::Checkpoint): appends non-forced copies of
+  /// what recovery still needs from the log's durable prefix, which the
+  /// caller is about to truncate. That is this TM's records of every
+  /// transaction it tracks, an attached RM still holds, or whose latest
+  /// record lies past the prefix (its tail stays, so its head must too),
+  /// and the co-located acceptor's current snapshot of every transaction it
+  /// holds. Copies are charged to no transaction.
+  void CopyForward();
 
   /// Transactions still held by the co-located paxos acceptor (0 for
   /// non-acceptors). END-driven reclamation keeps this bounded by the
@@ -389,6 +398,8 @@ class TransactionManager : public net::Endpoint {
     bool has_view = false;       ///< archived verdict present
     TxnView view;
     TxnCost cost;
+    /// LSN of the transaction's latest TM record (checkpoint copy rule).
+    wal::Lsn last_lsn = 0;
   };
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;

@@ -71,8 +71,7 @@ LogWriteStats& LogManager::TxnSlot(uint64_t txn) {
   return txn_stats_.GetOrCreate(txn);
 }
 
-Lsn LogManager::Append(const LogRecord& record, bool force,
-                       AppendCallback done) {
+Lsn LogManager::Place(const LogRecord& record, uint32_t* owner_id) {
   const uint32_t owner = owner_ids_.Intern(record.owner);
   const bool owner_buffered = UsesOwnerBuffers();
   std::string* dst = &buffer_;
@@ -97,8 +96,25 @@ Lsn LogManager::Append(const LogRecord& record, bool force,
     else
       segments_.push_back(Segment{owner, static_cast<uint32_t>(len)});
   }
-
   ++stats_.writes;
+  *owner_id = owner;
+  return lsn;
+}
+
+void LogManager::MaybeSteal(uint32_t owner) {
+  // WILO: an owner whose buffer ran full steals the flush instead of
+  // waiting for the daemon (the wake gathers every peer's buffer too). If a
+  // wake is already armed, the steal flag folds into it.
+  if (UsesOwnerBuffers() && group_.policy == FlushPolicy::kWiloSteal &&
+      owner_bufs_[owner].size() > group_.worker_buffer_bytes) {
+    ScheduleWake(/*steal=*/true);
+  }
+}
+
+Lsn LogManager::Append(const LogRecord& record, bool force,
+                       AppendCallback done) {
+  uint32_t owner = 0;
+  const Lsn lsn = Place(record, &owner);
   LogWriteStats& ts = TxnSlot(record.txn);
   ++ts.writes;
   if (owner >= owner_stats_.size()) owner_stats_.resize(owner + 1);
@@ -120,14 +136,14 @@ Lsn LogManager::Append(const LogRecord& record, bool force,
   } else if (done) {
     done();
   }
+  MaybeSteal(owner);
+  return lsn;
+}
 
-  // WILO: an owner whose buffer ran full steals the flush instead of
-  // waiting for the daemon (the wake gathers every peer's buffer too). If a
-  // wake is already armed, the steal flag folds into it.
-  if (owner_buffered && group_.policy == FlushPolicy::kWiloSteal &&
-      owner_bufs_[owner].size() > group_.worker_buffer_bytes) {
-    ScheduleWake(/*steal=*/true);
-  }
+Lsn LogManager::AppendCopy(const LogRecordView& record) {
+  uint32_t owner = 0;
+  const Lsn lsn = Place(record.ToRecord(), &owner);
+  MaybeSteal(owner);
   return lsn;
 }
 

@@ -126,6 +126,12 @@ class LogManager {
   /// null. Returns the record's LSN.
   Lsn Append(const LogRecord& record, bool force, AppendCallback done = nullptr);
 
+  /// Appends a checkpoint's copy of a record, byte for byte and non-forced.
+  /// Like the checkpoint record itself, a copy is not in the paper's counts:
+  /// it is charged to no transaction and no owner, only to the log's total
+  /// writes.
+  Lsn AppendCopy(const LogRecordView& record);
+
   /// Forces everything currently buffered (used by checkpoints and by tests).
   void ForceAll(AppendCallback done);
 
@@ -193,6 +199,11 @@ class LogManager {
   };
 
   void Init();  ///< shared constructor body
+  /// Encodes `record` into its buffer and counts it in stats_.writes;
+  /// returns its LSN and the interned owner tag.
+  Lsn Place(const LogRecord& record, uint32_t* owner_id);
+  /// WILO: a full owner buffer steals the daemon's flush.
+  void MaybeSteal(uint32_t owner);
   void RequestForce(AppendCallback done);
   /// Count+timer / pipelining: submits the central buffer and the pending
   /// force callbacks as one device write.

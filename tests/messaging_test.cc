@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -314,14 +315,17 @@ TEST(PduFuzzTest, MutatedPayloadsNeverCrashOrDisagree) {
   std::mt19937_64 rng(20260806);
 
   // Corpus of valid bundles with varied shapes, spanning every PDU type —
-  // including the paxos family, whose frames carry an encoded PaxosBody in
-  // the data field.
+  // including the paxos family, whose frames carry an encoded PaxosBody (or,
+  // for the two bundle types, a repeated-instance bundle) in the data field;
+  // kPaxosEnd carries none.
   std::vector<std::string> corpus;
+  std::set<tm::PduType> types;
   for (int i = 0; i < 32; ++i) {
     std::vector<tm::Pdu> bundle(1 + rng() % 4);
     for (auto& pdu : bundle) {
       pdu.type = static_cast<tm::PduType>(
-          1 + rng() % static_cast<int>(tm::PduType::kPaxosTakeover));
+          1 + rng() % static_cast<int>(tm::PduType::kPaxosEnd));
+      types.insert(pdu.type);
       pdu.txn = rng();
       pdu.vote = static_cast<rm::Vote>(rng() % 3);
       pdu.answer = static_cast<tm::InquiryAnswer>(rng() % 4);
@@ -330,7 +334,8 @@ TEST(PduFuzzTest, MutatedPayloadsNeverCrashOrDisagree) {
       pdu.last_agent = rng() % 2;
       if (pdu.type == tm::PduType::kAppData)
         pdu.data.assign(rng() % 100, static_cast<char>('a' + rng() % 26));
-      if (pdu.type >= tm::PduType::kPaxosAccept) {
+      if (pdu.type >= tm::PduType::kPaxosAccept &&
+          pdu.type != tm::PduType::kPaxosEnd) {
         tm::PaxosBody body;
         body.ballot = static_cast<uint32_t>(rng() % 1000);
         body.granted = rng() % 2;
@@ -354,12 +359,18 @@ TEST(PduFuzzTest, MutatedPayloadsNeverCrashOrDisagree) {
               {name('n', m), static_cast<uint32_t>(rng() % 10),
                rng() % 2 != 0});
         pdu.data.clear();
-        tm::EncodePaxosBody(body, &pdu.data);
+        if (pdu.type == tm::PduType::kPaxosAcceptBundle ||
+            pdu.type == tm::PduType::kPaxosAcceptedBundle) {
+          tm::EncodePaxosBundle(body, &pdu.data);
+        } else {
+          tm::EncodePaxosBody(body, &pdu.data);
+        }
       }
     }
     corpus.push_back(tm::EncodePdus(bundle));
     ExpectCodecAgreement(corpus.back());  // intact bundles round-trip
   }
+  EXPECT_EQ(types.size(), static_cast<size_t>(tm::PduType::kPaxosEnd));
 
   // >= 1k mutations: truncations, byte flips, random splices.
   for (int round = 0; round < 1200; ++round) {
